@@ -48,7 +48,9 @@ func TestMatchesNaive(t *testing.T) {
 // the analytic count.
 func TestAdditionCounting(t *testing.T) {
 	g := graph.MustFromEdges(4, [][2]int{{0, 2}, {1, 2}, {0, 3}, {1, 3}})
-	_, st, err := Compute(g, Options{C: 0.6, K: 1})
+	// One worker: the aux figure below is the serial accounting, one
+	// partial-sum buffer. Workers: 0 would resolve to GOMAXPROCS buffers.
+	_, st, err := Compute(g, Options{C: 0.6, K: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +64,21 @@ func TestAdditionCounting(t *testing.T) {
 	}
 	if st.AuxBytes != 32 {
 		t.Errorf("AuxBytes = %d, want 8*n = 32", st.AuxBytes)
+	}
+
+	// Several workers each own one partial-sum buffer, and the addition
+	// counts do not depend on how the vertices are split.
+	for _, workers := range []int{2, 3, 4} {
+		_, st, err := Compute(g, Options{C: 0.6, K: 1, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(workers * 8 * 4); st.AuxBytes != want {
+			t.Errorf("workers=%d: AuxBytes = %d, want workers*8*n = %d", workers, st.AuxBytes, want)
+		}
+		if st.InnerAdds != 8 || st.OuterAdds != 2 {
+			t.Errorf("workers=%d: InnerAdds, OuterAdds = %d, %d, want 8, 2", workers, st.InnerAdds, st.OuterAdds)
+		}
 	}
 }
 

@@ -15,13 +15,18 @@
 // of scheduling — and makes an index fully reproducible from (graph,
 // Options) alone.
 //
-// A single-source query against vertex q scans the stored paths: for every
-// other vertex v and every fingerprint, the first step t at which q's and
-// v's walkers stand on the same vertex contributes C^t, and the average
-// over fingerprints estimates s(q, v) truncated at horizon K. The scan is
-// O(R*K) per vertex with sequential access into one contiguous walk block,
-// so a query costs O(n*R*K) independent of the graph — no Theta(n^2) state
-// is ever materialized.
+// A single-source query against vertex q is defined by a sweep of the
+// stored paths: for every other vertex v and every fingerprint, the first
+// step t at which q's and v's walkers stand on the same vertex contributes
+// C^(t+1), and the average over fingerprints estimates s(q, v) truncated
+// at horizon K. The sweep is O(R*K) per vertex with sequential access into
+// one contiguous walk block, so it costs O(n*R*K) independent of the graph
+// — no Theta(n^2) state is ever materialized. It is the reference path,
+// and the only one for an index without its graph (a plain load, a
+// shard). Given the graph, SingleSourceFrom answers the same query by a
+// reverse probe that touches only the vertices whose walks meet q's, bit
+// for bit equal to the sweep, with a planner falling back to the sweep
+// where the probe would cost more (probe.go).
 //
 // Storage is laid out vertex-major — entry (r*K + t) of vertex v's walk
 // block is the position of v's fingerprint-r walker after step t+1, or -1

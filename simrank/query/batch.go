@@ -10,9 +10,11 @@ import (
 // Batched queries. Serving traffic rarely arrives one source at a time:
 // recommendation backfills, "similar items" widgets and offline audits ask
 // about many sources at once. MultiSource and TopKBatch answer a whole
-// batch in one shared traversal of the walk index (see
-// oipsr/internal/walkindex for the sweep), so cost per source shrinks as
-// the batch grows — while every row stays bit-identical to the
+// batch with one planned reverse probe per source while a graph is
+// attached, and the sources the planner declines (all of them, without a
+// graph) in one shared traversal of the walk index (see
+// oipsr/internal/walkindex for both), so the sweep's cost per source
+// shrinks as the batch grows — while every row stays bit-identical to the
 // corresponding independent SingleSource/TopK call, for every worker
 // count. cmd/simrankd exposes this path as POST /v1/batch.
 
@@ -31,19 +33,21 @@ func (ix *Index) checkSources(sources []int) error {
 // vertex v, returning one dense row per source in batch order; entry
 // sources[i] of row i is exactly 1. Rows are bit-identical to independent
 // SingleSource calls, for every worker count (1 = serial, anything below 1
-// means all CPUs), but the whole batch costs a single traversal of the
-// walk index instead of one per source. Duplicate sources are allowed.
-// Cancelling ctx abandons the sweep and returns the context's error.
+// means all CPUs). With a graph attached each source is probed, in
+// parallel across sources, unless the planner declines it; the declined
+// sources, or all of them without a graph, share a single traversal of
+// the walk index. Duplicate sources are allowed. Cancelling ctx abandons
+// the call and returns the context's error.
 func (ix *Index) MultiSource(ctx context.Context, sources []int, workers int) ([][]float64, error) {
 	if err := ix.checkSources(sources); err != nil {
 		return nil, err
 	}
-	return ix.wi.MultiSource(ctx, sources, workers)
+	return ix.multiSource(ctx, sources, workers)
 }
 
 // TopKBatch answers TopK(q, k, opt) for every source q in sources,
 // returning the result lists in batch order. Candidate scoring is one
-// shared MultiSource traversal; the optional exact rerank runs per source
+// MultiSource call; the optional exact rerank runs per source
 // (in parallel across sources, each with its own memo). Every result list
 // is bit-identical to the corresponding independent TopK call, for every
 // worker count. Cancelling ctx abandons the batch — mid-sweep or between
@@ -66,7 +70,7 @@ func (ix *Index) TopKBatch(ctx context.Context, sources []int, k int, opt *TopKO
 		return nil, fmt.Errorf("query: rerank needs the source graph (AttachGraph after Load)")
 	}
 
-	rows, err := ix.wi.MultiSource(ctx, sources, workers)
+	rows, err := ix.multiSource(ctx, sources, workers)
 	if err != nil {
 		return nil, err
 	}

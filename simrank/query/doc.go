@@ -15,13 +15,26 @@
 // The index here stores R coupled reverse random walks of horizon K per
 // vertex (the Fogaras-Racz first-meeting estimator, the same coupling as
 // the batch monte-carlo engine). Index size is 4*n*R*K bytes — linear in
-// n, independent of edge density — and a single-source query costs
-// O(n*R*K) sequential int32 comparisons, typically well under a
-// millisecond for graphs that fit in memory. Builds are deterministic:
-// edge choices are pure hashes of (seed, fingerprint, step, vertex), so
-// the same graph, options, and seed produce a bit-identical index at any
-// worker count, and a saved index reloads into bit-identical query
-// results.
+// n, independent of edge density. Builds are deterministic: edge choices
+// are pure hashes of (seed, fingerprint, step, vertex), so the same graph,
+// options, and seed produce a bit-identical index at any worker count, and
+// a saved index reloads into bit-identical query results.
+//
+// # Answering from the graph
+//
+// Because the walks are a pure function of the graph, single-source rows
+// are answered from the attached graph. The start vertices whose walk
+// first meets q's at step t form a reverse tree under q's position, and a
+// reverse probe (ProbeSim's idea) grows it from out-lists, touching only
+// the vertices that meet q. It adds the same weights in the same order as
+// a sweep of the stored walks, so the rows are bit-identical. A
+// count-based planner keeps the probe only when a sample of fingerprints
+// stays within its share of a sweep's cost; on hub-heavy graphs it hands
+// the query to the sweep. SingleSource, SingleSourceInto, TopK,
+// MultiSource and TopKBatch all take this route while a graph is attached.
+// The sweep over the stored walks, O(n*R*K) int32 comparisons, remains the
+// reference path and answers for a graph-less load (Load or
+// LoadFileMapped without AttachGraph) and for shards.
 //
 // # Accuracy trade-off
 //
@@ -42,11 +55,12 @@
 // # Batched queries and similarity joins
 //
 // Serving traffic rarely asks one question at a time. MultiSource and
-// TopKBatch answer a whole batch of sources through one shared traversal
-// of the index — the batch's walker positions are tabulated once per
+// TopKBatch answer a whole batch of sources: one planned probe per source
+// while a graph is attached, and one shared traversal of the index for
+// the rest — the batch's walker positions are tabulated once per
 // (fingerprint, step) and a single sweep of the path store credits every
-// source at once — so cost per source shrinks as the batch grows, while
-// every row and ranking stays bit-identical to the corresponding
+// source at once, so the sweep's cost per source shrinks as the batch
+// grows. Every row and ranking stays bit-identical to the corresponding
 // independent SingleSource/TopK call, for every worker count. Join runs
 // the all-pairs top-k similarity join ("which pairs anywhere score at
 // least theta?"): only pairs whose walkers co-locate within the depth the

@@ -52,6 +52,10 @@ type Index struct {
 	// ExactSingleSource, keyed by (generation, graph) so edits invalidate
 	// it; see exactengine.go.
 	exact exactState
+	// plan is how single-source rows are computed while a graph is
+	// attached: the zero value lets walkindex's planner choose between
+	// the reverse probe and the sweep per source. Tests force either.
+	plan walkindex.Plan
 }
 
 // Ranked is one entry of a top-k result.
@@ -185,22 +189,29 @@ func (ix *Index) PrepareUpdates(workers int) error {
 }
 
 // AttachGraph re-attaches the source graph to a loaded index, enabling
-// exact reranking. The graph must have the same vertex count the index was
-// built from (a different graph silently poisons rerank scores, so at
-// least the cheap invariant is enforced).
+// exact reranking and the reverse probe, which answers single-source rows
+// from the graph instead of sweeping the stored walks. The graph must be
+// the one the index was built on or last repaired to: a different graph
+// would poison rerank and probe scores, so AttachGraph checks the vertex
+// count and that the graph regenerates a sample of the stored walks.
 func (ix *Index) AttachGraph(g *graph.Graph) error {
 	if g.NumVertices() != ix.wi.N() {
 		return fmt.Errorf("query: graph has %d vertices, index was built on %d", g.NumVertices(), ix.wi.N())
+	}
+	if !ix.wi.MatchesGraph(g) {
+		return fmt.Errorf("query: the graph does not generate the index's stored walks")
 	}
 	ix.g = g
 	return nil
 }
 
 // SingleSource estimates s(q, v) for every vertex v and returns the dense
-// score vector; entry q is exactly 1. Cancelling ctx (a client gone, a
-// server deadline) abandons the sweep at the next chunk boundary and
-// returns the context's error; an uncancelled ctx never changes the
-// scores.
+// score vector; entry q is exactly 1. With a graph attached the row comes
+// from the planner (reverse probe or sweep, the same bits either way);
+// without one it is the sweep of the stored walks. Cancelling ctx (a
+// client gone, a server deadline) abandons the computation at the next
+// fingerprint or chunk boundary and returns the context's error; an
+// uncancelled ctx never changes the scores.
 func (ix *Index) SingleSource(ctx context.Context, q int) ([]float64, error) {
 	return ix.SingleSourceInto(ctx, q, nil)
 }
@@ -216,7 +227,20 @@ func (ix *Index) SingleSourceInto(ctx context.Context, q int, dst []float64) ([]
 	if dst != nil && len(dst) != ix.wi.N() {
 		return nil, fmt.Errorf("query: buffer length %d, want %d", len(dst), ix.wi.N())
 	}
-	return ix.wi.SingleSource(ctx, q, dst)
+	return ix.singleSource(ctx, q, dst)
+}
+
+// singleSource computes one validated score row. With a graph attached
+// it goes through walkindex's planner, which probes the graph or sweeps
+// the stored walks; without one (a plain Load) it sweeps. Both give the
+// same bits.
+func (ix *Index) singleSource(ctx context.Context, q int, dst []float64) ([]float64, error) {
+	return ix.wi.SingleSourceFrom(ctx, ix.g, q, dst, ix.plan)
+}
+
+// multiSource is singleSource for a validated batch.
+func (ix *Index) multiSource(ctx context.Context, sources []int, workers int) ([][]float64, error) {
+	return ix.wi.MultiSourceFrom(ctx, ix.g, sources, workers, ix.plan)
 }
 
 // Pair estimates the single score s(a, b).
@@ -249,8 +273,8 @@ type TopKOptions struct {
 // decreasing score order with ties broken by vertex id. With opt.Rerank
 // the scores are exact truncated SimRank values for the candidate pool;
 // otherwise they are the index estimates. Cancelling ctx abandons the
-// call — during the score sweep or between rerank candidates — and
-// returns the context's error.
+// call — while scoring or between rerank candidates — and returns the
+// context's error.
 func (ix *Index) TopK(ctx context.Context, q, k int, opt *TopKOptions) ([]Ranked, error) {
 	n := ix.wi.N()
 	if q < 0 || q >= n {
@@ -268,7 +292,7 @@ func (ix *Index) TopK(ctx context.Context, q, k int, opt *TopKOptions) ([]Ranked
 	if opt.Rerank && ix.g == nil {
 		return nil, fmt.Errorf("query: rerank needs the source graph (AttachGraph after Load)")
 	}
-	scores, err := ix.wi.SingleSource(ctx, q, nil)
+	scores, err := ix.singleSource(ctx, q, nil)
 	if err != nil {
 		return nil, err
 	}

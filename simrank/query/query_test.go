@@ -97,6 +97,9 @@ func TestLoadedIndexNeedsGraphForRerank(t *testing.T) {
 	if err := loaded.AttachGraph(gen.WebGraph(81, 6, 5)); err == nil {
 		t.Fatal("AttachGraph with wrong vertex count succeeded, want error")
 	}
+	if err := loaded.AttachGraph(gen.WebGraph(ix.N(), 6, 99)); err == nil {
+		t.Fatal("AttachGraph with a graph that does not generate the walks succeeded, want error")
+	}
 	if err := loaded.AttachGraph(ix.Graph()); err != nil {
 		t.Fatal(err)
 	}
