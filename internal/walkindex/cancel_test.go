@@ -24,7 +24,7 @@ func TestQueriesHonorCancellation(t *testing.T) {
 		t.Errorf("SingleSource on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 	for _, workers := range []int{1, 3} {
-		if _, err := ix.MultiSource(cancelled, []int{1, 2, 3}, workers); !errors.Is(err, context.Canceled) {
+		if _, err := ix.MultiSource(cancelled, nil, []int{1, 2, 3}, workers); !errors.Is(err, context.Canceled) {
 			t.Errorf("MultiSource(workers=%d) on cancelled ctx: err = %v, want context.Canceled", workers, err)
 		}
 		if _, err := ix.Join(cancelled, 10, 0.05, 1<<20, workers); !errors.Is(err, context.Canceled) {
@@ -53,7 +53,7 @@ func TestCancellationMidSweep(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for {
-			if _, err := ix.MultiSource(ctx, []int{0, 50, 100, 150}, 2); err != nil {
+			if _, err := ix.MultiSource(ctx, nil, []int{0, 50, 100, 150}, 2); err != nil {
 				done <- err
 				return
 			}

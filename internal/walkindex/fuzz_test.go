@@ -3,17 +3,24 @@ package walkindex
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 
 	"oipsr/graph"
 )
 
-// fuzzSeedIndex returns a small valid index and its serialized bytes in
-// both formats, the structured seeds every mutation starts from.
-func fuzzSeedIndex(f *testing.F) (v1, v2 []byte) {
+// fuzzSeedFiles returns a small valid index — the shard owning [1, 5) when
+// shard is set — serialized in both formats, the structured seeds every
+// mutation starts from.
+func fuzzSeedFiles(f *testing.F, shard bool) (v1, v2 []byte) {
 	f.Helper()
 	g := graph.MustFromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 1}, {4, 2}, {5, 4}})
-	ix, err := Build(g, Options{C: 0.6, K: 4, Walks: 3, Seed: 1})
+	opt := Options{C: 0.6, K: 4, Walks: 3, Seed: 1}
+	lo, hi := 0, g.NumVertices()
+	if shard {
+		lo, hi = 1, 5
+	}
+	ix, err := build(g, opt, lo, hi, shard)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -27,14 +34,15 @@ func fuzzSeedIndex(f *testing.F) (v1, v2 []byte) {
 	return b1.Bytes(), b2.Bytes()
 }
 
-// FuzzLoad: Load must return an error — never panic, never allocate
-// proportionally to a forged header — on arbitrary bytes. Anything it
-// accepts must have been consumed completely (no trailing bytes) and must
-// survive a re-save/re-load round trip: byte-identical for format v1,
+// FuzzLoad: Load and LoadShard — one reader under two magics — must
+// return an error — never panic, never allocate proportionally to a forged
+// header — on arbitrary bytes. Anything either accepts must have been
+// consumed completely (no trailing bytes) and must survive a
+// re-save/re-load round trip: byte-identical for format v1,
 // index-identical for format v2 (whose block size is a writer choice, so
 // byte equality only holds for our own writer's layout).
 func FuzzLoad(f *testing.F) {
-	valid, valid2 := fuzzSeedIndex(f)
+	valid, valid2 := fuzzSeedFiles(f, false)
 	f.Add(valid)
 	f.Add(valid2)
 	f.Add(valid[:len(valid)-5])                     // truncated v1 payload
@@ -56,30 +64,44 @@ func FuzzLoad(f *testing.F) {
 	forgedDir[headerSize+8+3] ^= 0x01 // block directory offset flip
 	reseal(forgedDir)                 // CRC-valid forged directory
 	f.Add(forgedDir)
+	// Shard files of both formats: valid, truncated, corrupted, and with
+	// a trailing byte.
+	shard1, shard2 := fuzzSeedFiles(f, true)
+	for _, valid := range [][]byte{shard1, shard2} {
+		f.Add(valid)
+		f.Add(valid[:len(valid)-5])
+		corrupt := append([]byte(nil), valid...)
+		corrupt[shardHeaderSize+11] ^= 0x20
+		f.Add(corrupt)
+		f.Add(append(append([]byte{}, valid...), 0x00))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		version := binary.LittleEndian.Uint32(data[8:])
-		var buf bytes.Buffer
-		if err := ix.SaveFormat(&buf, int(version)); err != nil {
-			t.Fatalf("re-saving accepted index: %v", err)
-		}
-		if version == FormatV1 {
-			// Load rejects trailing bytes, so an accepted v1 stream is
-			// exactly one index: the round trip is full-byte equality.
-			if !bytes.Equal(buf.Bytes(), data) {
-				t.Fatal("accepted v1 index did not round-trip bit-identically")
+		for _, load := range []func(io.Reader) (*Index, error){Load, LoadShard} {
+			ix, err := load(bytes.NewReader(data))
+			if err != nil {
+				continue
 			}
-			return
-		}
-		again, err := Load(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-loading re-saved v2 index: %v", err)
-		}
-		if !ix.Equal(again) {
-			t.Fatal("accepted v2 index did not round-trip identically")
+			version := binary.LittleEndian.Uint32(data[8:])
+			var buf bytes.Buffer
+			if err := ix.SaveFormat(&buf, int(version)); err != nil {
+				t.Fatalf("re-saving accepted index: %v", err)
+			}
+			if version == FormatV1 {
+				// The readers reject trailing bytes, so an accepted v1
+				// stream is exactly one index: the round trip is
+				// full-byte equality.
+				if !bytes.Equal(buf.Bytes(), data) {
+					t.Fatal("accepted v1 index did not round-trip bit-identically")
+				}
+				continue
+			}
+			again, err := load(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("re-loading re-saved v2 index: %v", err)
+			}
+			if !ix.Equal(again) {
+				t.Fatal("accepted v2 index did not round-trip identically")
+			}
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"oipsr/graph"
 	"oipsr/internal/par"
 )
 
@@ -74,8 +75,7 @@ func TooDenseError(threshold float64, maxCandidates int) error {
 
 // joinDepth returns the last step index whose first-meeting weight clears
 // the threshold, or -1 when no slot can (pow is strictly decreasing, so
-// the scan stops early). Join and the shard candidate enumeration share it,
-// so both prune at exactly the same float comparison.
+// the scan stops early).
 func joinDepth(pow []float64, threshold float64) int {
 	maxT := -1
 	for t, w := range pow {
@@ -124,51 +124,97 @@ func FinishJoin(pairs []JoinPair, k int, threshold float64) []JoinPair {
 // The result is bit-identical for every worker count. Cancelling ctx
 // abandons the join at the next chunk boundary (workers poll between
 // slots during enumeration and between candidates during re-scoring) and
-// returns the context's error.
+// returns the context's error. Join needs a full index; a shard fleet
+// runs the same three steps itself (JoinCandidates over a fingerprint
+// partition, ScorePairs, FinishJoin).
 func (ix *Index) Join(ctx context.Context, k int, threshold float64, maxCandidates, workers int) ([]JoinPair, error) {
 	if err := CheckJoinArgs(k, threshold, maxCandidates); err != nil {
 		return nil, err
 	}
+	if !ix.full() {
+		return nil, errPartial
+	}
+	keys, err := ix.JoinCandidates(ctx, nil, threshold, 0, ix.r, maxCandidates, workers)
+	if err != nil {
+		return nil, err
+	}
+	pairs, err := ix.ScorePairs(ctx, nil, keys, workers)
+	if err != nil {
+		return nil, err
+	}
+	return FinishJoin(pairs, k, threshold), nil
+}
+
+// JoinCandidates enumerates the co-located vertex pairs of fingerprints
+// [fpLo, fpHi) within the threshold's prune depth, returning canonical
+// a<b keys (a<<32|b) in ascending order. The union of the key sets over a
+// partition of [0, R) is exactly the candidate set of the whole range,
+// which Join enumerates in one call. maxCandidates caps this call's set —
+// every per-range set is a subset of the full distinct-pair union, so an
+// overflow here implies the whole join overflows too (the converse is
+// caught by the caller's merge, which must re-apply the cap as the union
+// grows).
+//
+// One fingerprint's slots need the positions of all n vertices. Rows the
+// index does not own are regenerated from g as prefix walks (depth
+// maxT+1), bit-identical to the rows their owner stores, at
+// O(n·(maxT+1)) per fingerprint — the order of scanning the slots they
+// feed. A full index never reads g.
+func (ix *Index) JoinCandidates(ctx context.Context, g *graph.Graph, threshold float64, fpLo, fpHi, maxCandidates, workers int) ([]uint64, error) {
+	if fpLo < 0 || fpHi < fpLo || fpHi > ix.r {
+		return nil, fmt.Errorf("walkindex: fingerprint range [%d,%d) outside [0,%d)", fpLo, fpHi, ix.r)
+	}
+	if maxCandidates < 1 {
+		return nil, fmt.Errorf("walkindex: join candidate cap %d < 1", maxCandidates)
+	}
 	// Depth prune: slots past maxT cannot introduce a pair reaching the
 	// threshold.
 	maxT := joinDepth(ix.pow, threshold)
-	if maxT < 0 || ix.n < 2 {
-		return []JoinPair{}, nil
+	if maxT < 0 || ix.n < 2 || fpLo == fpHi {
+		return []uint64{}, ctx.Err()
 	}
 
-	// Phase 1 (parallel over fingerprints): enumerate co-located pairs into
-	// per-worker dedup sets. Grouping a slot by position uses intrusive
-	// chains (head/next over vertex ids) — two flat int32 arrays per
-	// worker, no per-slot map churn.
-	parts := par.ResolveMax(workers, ix.r)
+	// Parallel over fingerprints: enumerate co-located pairs into
+	// per-worker dedup sets. The slot scan is position-major — entry
+	// (v, fp, t) for every v — which a full index over a flat store
+	// serves by direct indexing. Otherwise each fingerprint's prefix
+	// positions are copied (or regenerated) vertex by vertex into pos, so
+	// a mapped store decodes each backing block once per fingerprint.
+	// Grouping a slot by position uses intrusive chains (head/next over
+	// vertex ids) — two flat int32 arrays per worker, no per-slot map
+	// churn.
+	flat := ix.store.Flat()
+	if !ix.full() {
+		flat = nil
+	}
+	hseed := splitmix64(uint64(ix.seed))
+	depth := maxT + 1
+	parts := par.ResolveMax(workers, fpHi-fpLo)
 	sets := make([]map[uint64]struct{}, parts)
 	var overflow atomic.Bool
 	par.Do(parts, func(w int) {
-		lo, hi := par.Range(ix.r, parts, w)
+		wlo, whi := par.Range(fpHi-fpLo, parts, w)
 		check := par.NewCancelChecker(ctx, 1) // each slot is O(n) work
 		set := make(map[uint64]struct{})
 		head := make([]int32, ix.n)
 		next := make([]int32, ix.n)
-		// The slot scan is position-major — entry (v, fp, t) for every v —
-		// which a flat materialized store serves by direct indexing. A
-		// mapped store instead materializes each fingerprint's prefix
-		// positions once (vertex-sequential, so each backing block decodes
-		// once per fingerprint), mirroring the shard join's recomputation
-		// buffer.
-		flat := ix.store.Flat()
-		depth := maxT + 1
-		var pos []int32 // pos[v*depth+t], only for the mapped path
+		var pos []int32 // pos[v*depth+t], unless flat
 		if flat == nil {
 			pos = make([]int32, ix.n*depth)
 		}
-		for fp := lo; fp < hi; fp++ {
+		for fp := fpLo + wlo; fp < fpLo+whi; fp++ {
+			if overflow.Load() || check.Stop() != nil {
+				return
+			}
 			if flat == nil {
-				if overflow.Load() || check.Stop() != nil {
-					return
-				}
-				ix.store.Prefetch(0, ix.n) // vertex-sequential materialization
+				ix.store.Prefetch(0, ix.hi-ix.lo) // owned rows stream in vertex order
 				for v := 0; v < ix.n; v++ {
-					copy(pos[v*depth:(v+1)*depth], ix.store.Row(v)[fp*ix.k:fp*ix.k+depth])
+					row := pos[v*depth : (v+1)*depth]
+					if ix.Owns(v) {
+						copy(row, ix.store.Row(v - ix.lo)[fp*ix.k:(fp+1)*ix.k])
+					} else {
+						walkFrom(g, hseed, fp, 0, v, row)
+					}
 				}
 			}
 			for t := 0; t <= maxT; t++ {
@@ -241,26 +287,49 @@ func (ix *Index) Join(ctx context.Context, k int, threshold float64, maxCandidat
 		keys = append(keys, key)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys, nil
+}
 
-	// Phase 2 (parallel over candidates): exact estimates via the same
-	// arithmetic as SingleSource, so scores — and therefore the threshold
-	// filter and the final order — match the full estimate matrix bitwise.
+// ScorePairs computes the exact estimate of every candidate key (canonical
+// a<<32|b) with Pair's arithmetic, so scores — and therefore the threshold
+// filter and the final order — match the full estimate matrix bitwise.
+// Rows of unowned vertices are regenerated from g and memoized per worker;
+// a full index never reads g. Cancelling ctx abandons the scoring and
+// returns the context's error.
+func (ix *Index) ScorePairs(ctx context.Context, g *graph.Graph, keys []uint64, workers int) ([]JoinPair, error) {
 	pairs := make([]JoinPair, len(keys))
-	parts = par.ResolveMax(workers, len(keys))
+	if len(keys) == 0 {
+		return pairs, ctx.Err()
+	}
+	parts := par.ResolveMax(workers, len(keys))
 	par.Do(parts, func(w int) {
 		lo, hi := par.Range(len(keys), parts, w)
 		check := par.NewCancelChecker(ctx, cancelCheckTargets)
+		// Foreign rows memoize per worker: candidate keys are sorted, so
+		// repeated a-sides hit the cache run-length style, and heavily
+		// co-located b-sides (hub vertices) hit it across keys.
+		cache := make(map[int][]int32)
+		rowFor := func(v int) []int32 {
+			if ix.Owns(v) {
+				return ix.store.Row(v - ix.lo)
+			}
+			if row, ok := cache[v]; ok {
+				return row
+			}
+			row := ix.sourceRow(g, v, make([]int32, ix.r*ix.k))
+			cache[v] = row
+			return row
+		}
 		for i := lo; i < hi; i++ {
 			if check.Stop() != nil {
 				return // partial scores are discarded below
 			}
 			a, b := int(keys[i]>>32), int(keys[i]&0xFFFFFFFF)
-			pairs[i] = JoinPair{A: a, B: b, Score: ix.Pair(a, b)}
+			pairs[i] = JoinPair{A: a, B: b, Score: pairFromRows(rowFor(a), rowFor(b), ix.pow, ix.k, ix.r)}
 		}
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	return FinishJoin(pairs, k, threshold), nil
+	return pairs, nil
 }

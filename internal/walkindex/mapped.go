@@ -2,12 +2,10 @@ package walkindex
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"slices"
 	"sync"
@@ -365,138 +363,49 @@ func (ms *mappedStore) flush() error {
 // resident. v1 files are dense-only: re-save with SaveFormat(FormatV2)
 // to map them (Load reads both formats into memory).
 func LoadMapped(path string, opts MappedOptions) (*Index, error) {
+	return loadMapped(path, opts, false)
+}
+
+// LoadShardMapped is LoadMapped for shard files (see LoadShard).
+func LoadShardMapped(path string, opts MappedOptions) (*Index, error) {
+	return loadMapped(path, opts, true)
+}
+
+func loadMapped(path string, opts MappedOptions, shard bool) (*Index, error) {
+	what := kindName(shard)
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("walkindex: opening mapped index: %w", err)
+		return nil, fmt.Errorf("walkindex: opening mapped %s: %w", what, err)
 	}
 	defer f.Close()
 	crc := crc32.NewIEEE()
 	br := bufio.NewReaderSize(f, 1<<16)
 
 	// Step 1: header parse + plausibility guards (as in Load).
-	var hdr [headerSize]byte
-	if err := readFull(br, crc, hdr[:], "header"); err != nil {
+	h, err := readHeader(br, crc, shard)
+	if err != nil {
 		return nil, err
 	}
-	if [8]byte(hdr[:8]) != magic {
-		return nil, ErrBadMagic
-	}
-	version := binary.LittleEndian.Uint32(hdr[8:])
-	if version == FormatV1 {
+	if h.version == FormatV1 {
 		return nil, fmt.Errorf("%w: file is format v1 (dense); only format v2 can be mapped — re-save it with SaveFormat(FormatV2)", ErrVersion)
-	}
-	if version != FormatV2 {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads versions %d and %d", ErrVersion, version, FormatV1, FormatV2)
-	}
-	n := int64(binary.LittleEndian.Uint64(hdr[12:]))
-	k := int64(binary.LittleEndian.Uint64(hdr[20:]))
-	fps := int64(binary.LittleEndian.Uint64(hdr[28:]))
-	c := math.Float64frombits(binary.LittleEndian.Uint64(hdr[36:]))
-	seed := int64(binary.LittleEndian.Uint64(hdr[44:]))
-	if n < 0 || k < 1 || fps < 1 {
-		return nil, fmt.Errorf("walkindex: invalid header (n=%d, k=%d, r=%d)", n, k, fps)
-	}
-	if k > maxHorizon {
-		return nil, fmt.Errorf("walkindex: implausible walk horizon k = %d", k)
-	}
-	if !(c > 0 && c < 1) {
-		return nil, fmt.Errorf("walkindex: invalid header damping factor %v", c)
-	}
-	elems := n * fps * k
-	if n > 0 && (elems/n/fps != k || elems > maxElems) {
-		return nil, fmt.Errorf("walkindex: implausible index size n*r*k = %d*%d*%d", n, fps, k)
 	}
 
 	// Steps 2–5: structural + semantic scan of every block, checksum,
-	// trailing-data probe — retaining only the directory.
-	blockB, dir, err := scanV2Payload(br, crc, n, k, fps, n, "paths")
+	// trailing-data probe — retaining only the directory. Entries are
+	// vertex ids of the whole graph, [0, n).
+	width := h.hi - h.lo
+	blockB, dir, err := scanV2Payload(br, crc, width, h.k, h.r, h.n, sectionPrefix(shard)+"paths")
 	if err != nil {
 		return nil, err
 	}
 
 	// Step 6: construction from validated fields only.
-	pre := make([]byte, headerSize+8)
-	copy(pre, hdr[:])
-	binary.LittleEndian.PutUint32(pre[headerSize:], uint32(blockB))
-	binary.LittleEndian.PutUint32(pre[headerSize+4:], uint32(len(dir)-1))
-	ms, err := newMappedStore(path, "index", int(n), int(k), int(fps), blockB, dir, pre, opts)
+	pre := appendV2Meta(h.bytes(), int(blockB), len(dir)-1)
+	ms, err := newMappedStore(path, what, int(width), int(h.k), int(h.r), blockB, dir, pre, opts)
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{n: int(n), k: int(k), r: int(fps), c: c, seed: seed, store: ms}
-	ix.initPow()
-	return ix, nil
-}
-
-// LoadShardMapped is LoadMapped for shard files written by
-// ShardIndex.SaveFormat with FormatV2.
-func LoadShardMapped(path string, opts MappedOptions) (*ShardIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("walkindex: opening mapped shard: %w", err)
-	}
-	defer f.Close()
-	crc := crc32.NewIEEE()
-	br := bufio.NewReaderSize(f, 1<<16)
-
-	// Step 1: header parse + plausibility guards (as in LoadShard).
-	var hdr [shardHeaderSize]byte
-	if err := readFull(br, crc, hdr[:], "shard header"); err != nil {
-		return nil, err
-	}
-	if [8]byte(hdr[:8]) != shardMagic {
-		return nil, ErrBadMagic
-	}
-	version := binary.LittleEndian.Uint32(hdr[8:])
-	if version == FormatV1 {
-		return nil, fmt.Errorf("%w: file is format v1 (dense); only format v2 can be mapped — re-save it with SaveFormat(FormatV2)", ErrVersion)
-	}
-	if version != FormatV2 {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads versions %d and %d", ErrVersion, version, FormatV1, FormatV2)
-	}
-	n := int64(binary.LittleEndian.Uint64(hdr[12:]))
-	lo := int64(binary.LittleEndian.Uint64(hdr[20:]))
-	hi := int64(binary.LittleEndian.Uint64(hdr[28:]))
-	k := int64(binary.LittleEndian.Uint64(hdr[36:]))
-	fps := int64(binary.LittleEndian.Uint64(hdr[44:]))
-	c := math.Float64frombits(binary.LittleEndian.Uint64(hdr[52:]))
-	seed := int64(binary.LittleEndian.Uint64(hdr[60:]))
-	if n < 0 || k < 1 || fps < 1 {
-		return nil, fmt.Errorf("walkindex: invalid shard header (n=%d, k=%d, r=%d)", n, k, fps)
-	}
-	if lo < 0 || hi < lo || hi > n {
-		return nil, fmt.Errorf("walkindex: invalid shard header range [%d,%d) with n=%d", lo, hi, n)
-	}
-	if k > maxHorizon {
-		return nil, fmt.Errorf("walkindex: implausible walk horizon k = %d", k)
-	}
-	if !(c > 0 && c < 1) {
-		return nil, fmt.Errorf("walkindex: invalid shard header damping factor %v", c)
-	}
-	width := hi - lo
-	elems := width * fps * k
-	if width > 0 && (elems/width/fps != k || elems > maxElems) {
-		return nil, fmt.Errorf("walkindex: implausible shard size width*r*k = %d*%d*%d", width, fps, k)
-	}
-
-	// Steps 2–5 on the owned range; entries are global vertex ids in [0, n).
-	blockB, dir, err := scanV2Payload(br, crc, width, k, fps, n, "shard paths")
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 6: construction from validated fields only.
-	pre := make([]byte, shardHeaderSize+8)
-	copy(pre, hdr[:])
-	binary.LittleEndian.PutUint32(pre[shardHeaderSize:], uint32(blockB))
-	binary.LittleEndian.PutUint32(pre[shardHeaderSize+4:], uint32(len(dir)-1))
-	ms, err := newMappedStore(path, "shard", int(width), int(k), int(fps), blockB, dir, pre, opts)
-	if err != nil {
-		return nil, err
-	}
-	sx := &ShardIndex{n: int(n), lo: int(lo), hi: int(hi), k: int(k), r: int(fps), c: c, seed: seed, store: ms}
-	sx.initPow()
-	return sx, nil
+	return h.index(ms), nil
 }
 
 // scanV2Payload validates the v2 payload exactly as readV2Payload decodes
@@ -519,8 +428,8 @@ func scanV2Payload(br *bufio.Reader, crc hash.Hash32, rows, k, r, n int64, secti
 	for b := int64(0); b < nb; b++ {
 		width := min(blockB, rows-b*blockB)
 		blen := dir[b+1] - dir[b]
-		if blen > v2MaxBlockLen(width, k, r) {
-			return 0, nil, fmt.Errorf("walkindex: implausible v2 block length %d", blen)
+		if err := checkV2BlockLen(blen, width, k, r); err != nil {
+			return 0, nil, err
 		}
 		if int64(cap(blockBuf)) < blen {
 			blockBuf = make([]byte, blen)

@@ -66,7 +66,7 @@ func TestMappedByteIdenticalQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources := []int{0, 7, 99, 250, 499}
-	denseMS, err := dense.MultiSource(ctx, sources, 3)
+	denseMS, err := dense.MultiSource(ctx, nil, sources, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestMappedByteIdenticalQueries(t *testing.T) {
 					t.Fatalf("%s: SingleSource(%d)[%d] = %v, dense %v", name, q, v, mr[v], dr[v])
 				}
 			}
-			if got, want := mx.Pair(q, (q+13)%500), dense.Pair(q, (q+13)%500); got != want {
+			if got, want := mx.Pair(nil, q, (q+13)%500), dense.Pair(nil, q, (q+13)%500); got != want {
 				t.Fatalf("%s: Pair(%d) = %v, dense %v", name, q, got, want)
 			}
 		}
-		ms, err := mx.MultiSource(ctx, sources, 3)
+		ms, err := mx.MultiSource(ctx, nil, sources, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,18 +209,18 @@ func TestShardMappedByteIdentical(t *testing.T) {
 
 	ctx := context.Background()
 	sources := []int{0, 100, 150, 299, 399}
-	want, err := sx.PartialMultiSource(ctx, g, sources, 2)
+	want, err := sx.MultiSource(ctx, g, sources, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mx.PartialMultiSource(ctx, g, sources, 2)
+	got, err := mx.MultiSource(ctx, g, sources, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
 		for v := range want[i] {
 			if want[i][v] != got[i][v] {
-				t.Fatalf("PartialMultiSource row %d differs at %d", i, v)
+				t.Fatalf("MultiSource row %d differs at %d", i, v)
 			}
 		}
 	}

@@ -10,10 +10,14 @@ import (
 // TestMultiSourceBitIdenticalToSingleSource: every row of a batched query
 // must equal the corresponding independent SingleSource call bitwise, for
 // every batch shape and worker count — the acceptance criterion of the
-// shared-traversal sweep.
+// shared-traversal sweep. On a shard each row is the exact [lo, hi)
+// sub-slice of that row, for owned sources, foreign sources and
+// duplicates alike, so a covering shard set's rows concatenate to the
+// single-node answer.
 func TestMultiSourceBitIdenticalToSingleSource(t *testing.T) {
 	g := gen.WebGraph(150, 6, 13)
-	ix, err := Build(g, Options{Walks: 60, Seed: 3})
+	opt := Options{Walks: 60, Seed: 3}
+	full, err := Build(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,22 +31,30 @@ func TestMultiSourceBitIdenticalToSingleSource(t *testing.T) {
 		{0, 7, 33, 149, 7}, // mixed, with a repeat
 		all,                // a wide batch
 	}
-	for _, sources := range batches {
-		for _, workers := range []int{1, 2, 3, 7} {
-			rows := msRows(t, ix, sources, workers)
-			if len(rows) != len(sources) {
-				t.Fatalf("MultiSource(%v) returned %d rows", sources, len(rows))
-			}
-			for i, q := range sources {
-				want := ssRow(t, ix, q)
-				for v := range want {
-					if rows[i][v] != want[v] {
-						t.Fatalf("workers=%d sources=%v: row %d (q=%d) differs at v=%d: %g vs %g",
-							workers, sources, i, q, v, rows[i][v], want[v])
+	for _, rg := range indexRanges(g.NumVertices()) {
+		t.Run(rg.name, func(t *testing.T) {
+			ix := rg.mustBuild(t, g, opt)
+			for _, sources := range batches {
+				for _, workers := range []int{1, 2, 3, 7} {
+					rows := msRows(t, ix, g, sources, workers)
+					if len(rows) != len(sources) {
+						t.Fatalf("MultiSource(%v) returned %d rows", sources, len(rows))
+					}
+					for i, q := range sources {
+						want := ssRow(t, full, q)[rg.lo:rg.hi]
+						if len(rows[i]) != len(want) {
+							t.Fatalf("row %d has %d entries, want %d", i, len(rows[i]), len(want))
+						}
+						for v := range want {
+							if rows[i][v] != want[v] {
+								t.Fatalf("workers=%d sources=%v: row %d (q=%d) differs at v=%d: %g vs %g",
+									workers, sources, i, q, rg.lo+v, rows[i][v], want[v])
+							}
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -55,7 +67,7 @@ func TestMultiSourceDeadAndIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := msRows(t, ix, []int{0, 2, 3}, 2)
+	rows := msRows(t, ix, nil, []int{0, 2, 3}, 2)
 	for i, q := range []int{0, 2, 3} {
 		want := ssRow(t, ix, q)
 		for v := range want {
@@ -76,7 +88,7 @@ func TestMultiSourceEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows := msRows(t, ix, nil, 3); len(rows) != 0 {
+	if rows := msRows(t, ix, nil, nil, 3); len(rows) != 0 {
 		t.Fatalf("MultiSource(nil) returned %d rows, want 0", len(rows))
 	}
 }

@@ -66,15 +66,15 @@ func TestPrefetchEquivalenceTinyCache(t *testing.T) {
 					t.Fatalf("%s: SingleSource(%d)[%d] = %v, dense %v", name, q, v, got[v], want[v])
 				}
 			}
-			if got, want := mx.Pair(q, (q+77)%500), dense.Pair(q, (q+77)%500); got != want {
+			if got, want := mx.Pair(nil, q, (q+77)%500), dense.Pair(nil, q, (q+77)%500); got != want {
 				t.Fatalf("%s: Pair(%d) = %v, dense %v", name, q, got, want)
 			}
 		}
-		wantMS, err := dense.MultiSource(ctx, sources, 3)
+		wantMS, err := dense.MultiSource(ctx, nil, sources, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotMS, err := mx.MultiSource(ctx, sources, 3)
+		gotMS, err := mx.MultiSource(ctx, nil, sources, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestPrefetchEquivalenceTinyCache(t *testing.T) {
 	}
 }
 
-// TestPrefetchShardEquivalence covers the shard sweeps: PartialMultiSource
+// TestPrefetchShardEquivalence covers the shard sweeps: MultiSource
 // and JoinCandidates on a 2-block-LRU mapped shard must match the dense
 // shard exactly while the pool is prefetching.
 func TestPrefetchShardEquivalence(t *testing.T) {
@@ -145,18 +145,18 @@ func TestPrefetchShardEquivalence(t *testing.T) {
 
 	ctx := context.Background()
 	sources := []int{0, 60, 200, 349, 419}
-	want, err := sx.PartialMultiSource(ctx, g, sources, 3)
+	want, err := sx.MultiSource(ctx, g, sources, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mx.PartialMultiSource(ctx, g, sources, 3)
+	got, err := mx.MultiSource(ctx, g, sources, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
 		for v := range want[i] {
 			if want[i][v] != got[i][v] {
-				t.Fatalf("PartialMultiSource row %d differs at %d", i, v)
+				t.Fatalf("MultiSource row %d differs at %d", i, v)
 			}
 		}
 	}
@@ -219,7 +219,7 @@ func TestPrefetchConcurrentReadersAndEdits(t *testing.T) {
 				if _, err := mx.SingleSource(ctx, (w*97+i*13)%400, nil); err != nil {
 					t.Error(err)
 				}
-				if _, err := mx.MultiSource(ctx, []int{w, (w + 100) % 400}, 2); err != nil {
+				if _, err := mx.MultiSource(ctx, nil, []int{w, (w + 100) % 400}, 2); err != nil {
 					t.Error(err)
 				}
 				mu.RUnlock()

@@ -67,8 +67,9 @@ const planSampleDiv = 16
 const graphCheckSamples = 16
 
 // MatchesGraph reports whether g regenerates the stored walks of a sample
-// of start vertices bit for bit: a cheap guard against attaching a graph
-// the index was not built on, which the probe would otherwise answer from
+// of owned start vertices bit for bit: a cheap guard against attaching a
+// graph the index was not built on, which the probe (or, on a shard, the
+// regeneration of foreign sources' walks) would otherwise answer from
 // without notice. It costs graphCheckSamples·R·K steps.
 func (ix *Index) MatchesGraph(g *graph.Graph) bool {
 	if g.NumVertices() != ix.n {
@@ -76,8 +77,9 @@ func (ix *Index) MatchesGraph(g *graph.Graph) bool {
 	}
 	hseed := splitmix64(uint64(ix.seed))
 	walk := make([]int32, ix.k)
-	for v := 0; v < ix.n; v += max(1, ix.n/graphCheckSamples) {
-		row := ix.store.Row(v)
+	width := ix.hi - ix.lo
+	for v := ix.lo; v < ix.hi; v += max(1, width/graphCheckSamples) {
+		row := ix.store.Row(v - ix.lo)
 		for fp := 0; fp < ix.r; fp++ {
 			walkFrom(g, hseed, fp, 0, v, walk)
 			if !slices.Equal(walk, row[fp*ix.k:(fp+1)*ix.k]) {
@@ -203,6 +205,9 @@ func (p *prober) run(ctx context.Context, q int, dst []float64, planned bool) (b
 // sweep's scores bit for bit. A nil g means the sweep. dst, ctx and the
 // result follow SingleSource.
 func (ix *Index) SingleSourceFrom(ctx context.Context, g *graph.Graph, q int, dst []float64, plan Plan) ([]float64, error) {
+	if !ix.full() {
+		return nil, errPartial
+	}
 	if g == nil || plan == PlanSweep {
 		return ix.SingleSource(ctx, q, dst)
 	}
@@ -227,8 +232,11 @@ func (ix *Index) SingleSourceFrom(ctx context.Context, g *graph.Graph, q int, ds
 // SingleSource calls. Cancelling ctx returns the context's error and nil
 // rows.
 func (ix *Index) MultiSourceFrom(ctx context.Context, g *graph.Graph, sources []int, workers int, plan Plan) ([][]float64, error) {
+	if !ix.full() {
+		return nil, errPartial
+	}
 	if g == nil || plan == PlanSweep {
-		return ix.MultiSource(ctx, sources, workers)
+		return ix.MultiSource(ctx, nil, sources, workers)
 	}
 	out := make([][]float64, len(sources))
 	probed := make([]bool, len(sources))
@@ -261,7 +269,7 @@ func (ix *Index) MultiSourceFrom(ctx context.Context, g *graph.Graph, sources []
 	for j, i := range rest {
 		restSources[j] = sources[i]
 	}
-	rows, err := ix.MultiSource(ctx, restSources, workers)
+	rows, err := ix.MultiSource(ctx, nil, restSources, workers)
 	if err != nil {
 		return nil, err
 	}

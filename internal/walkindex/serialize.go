@@ -39,12 +39,30 @@ import (
 //	...     delta/varint posting blocks (payload)
 //	...     4     CRC-32 (IEEE) of every preceding byte
 //
+// A shard file (an index built by BuildShard or loaded by LoadShard) has
+// the 68-byte header
+//
+//	offset  size  field
+//	0       8     magic "SRWKSHRD"
+//	8       4     format version (1 or 2)
+//	12      8     n    (graph vertices, int64)
+//	20      8     lo   (first owned vertex, int64)
+//	28      8     hi   (one past the last owned vertex, int64)
+//	36      8     k, then r, c and seed as above, 8 bytes each
+//
+// and then the same v1 or v2 body with hi-lo rows. The file kind comes
+// from how the index was made, not from its range, so a one-shard plan
+// owning [0, n) still writes a shard file. The distinct magic keeps a
+// shard file from ever loading as a full index or vice versa: Load and
+// LoadShard reject each other's files with ErrBadMagic, not a silent
+// misread.
+//
 // The trailing checksum makes truncation and bit corruption detectable
 // without trusting the payload; the version field rejects indexes written
 // by a future (or past, incompatible) format revision.
 //
 // Load order — one documented sequence shared by the v1 and v2 readers,
-// for the full index (Load) and shards (LoadShard) alike:
+// for both file kinds:
 //
 //  1. header parse + plausibility guards: nothing payload-sized is
 //     allocated from unvalidated fields;
@@ -72,9 +90,132 @@ const (
 	FormatVersion = FormatV2
 )
 
-var magic = [8]byte{'S', 'R', 'W', 'K', 'I', 'D', 'X', 0}
+var (
+	magic      = [8]byte{'S', 'R', 'W', 'K', 'I', 'D', 'X', 0}
+	shardMagic = [8]byte{'S', 'R', 'W', 'K', 'S', 'H', 'R', 'D'}
+)
 
-const headerSize = 8 + 4 + 8 + 8 + 8 + 8 + 8
+const (
+	headerSize      = 8 + 4 + 8 + 8 + 8 + 8 + 8
+	shardHeaderSize = headerSize + 8 + 8 // plus lo and hi
+)
+
+// fileHeader holds the fixed header fields of an index or shard file. An
+// index file stores no range: it owns [0, n).
+type fileHeader struct {
+	shard           bool
+	version         uint32
+	n, lo, hi, k, r int64
+	c               float64
+	seed            int64
+}
+
+// kindName labels a file kind in errors.
+func kindName(shard bool) string {
+	if shard {
+		return "shard"
+	}
+	return "index"
+}
+
+// sectionPrefix labels the sections of a shard file in load errors.
+func sectionPrefix(shard bool) string {
+	if shard {
+		return "shard "
+	}
+	return ""
+}
+
+// header returns the file header Save writes for ix.
+func (ix *Index) header(version uint32) fileHeader {
+	return fileHeader{shard: ix.shard, version: version, n: int64(ix.n), lo: int64(ix.lo), hi: int64(ix.hi),
+		k: int64(ix.k), r: int64(ix.r), c: ix.c, seed: ix.seed}
+}
+
+// bytes encodes the header, with spare capacity for the v2 block meta.
+func (h fileHeader) bytes() []byte {
+	b := make([]byte, 0, shardHeaderSize+8)
+	if h.shard {
+		b = append(b, shardMagic[:]...)
+	} else {
+		b = append(b, magic[:]...)
+	}
+	b = binary.LittleEndian.AppendUint32(b, h.version)
+	b = binary.LittleEndian.AppendUint64(b, uint64(h.n))
+	if h.shard {
+		b = binary.LittleEndian.AppendUint64(b, uint64(h.lo))
+		b = binary.LittleEndian.AppendUint64(b, uint64(h.hi))
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(h.k))
+	b = binary.LittleEndian.AppendUint64(b, uint64(h.r))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(h.c))
+	return binary.LittleEndian.AppendUint64(b, uint64(h.seed))
+}
+
+// readHeader is step 1 of the load order for a file of the given kind:
+// it parses the header and applies the plausibility guards, so nothing
+// payload-sized is ever allocated from unvalidated fields.
+func readHeader(br *bufio.Reader, crc hash.Hash32, shard bool) (fileHeader, error) {
+	want, size := magic, headerSize
+	if shard {
+		want, size = shardMagic, shardHeaderSize
+	}
+	buf := make([]byte, size)
+	if err := readFull(br, crc, buf, sectionPrefix(shard)+"header"); err != nil {
+		return fileHeader{}, err
+	}
+	if [8]byte(buf[:8]) != want {
+		return fileHeader{}, ErrBadMagic
+	}
+	h := fileHeader{shard: shard, version: binary.LittleEndian.Uint32(buf[8:])}
+	if h.version != FormatV1 && h.version != FormatV2 {
+		return fileHeader{}, fmt.Errorf("%w: file has version %d, this build reads versions %d and %d", ErrVersion, h.version, FormatV1, FormatV2)
+	}
+	field := buf[12:]
+	next := func() int64 {
+		x := int64(binary.LittleEndian.Uint64(field))
+		field = field[8:]
+		return x
+	}
+	h.n = next()
+	h.lo, h.hi = 0, h.n
+	if shard {
+		h.lo = next()
+		h.hi = next()
+	}
+	h.k, h.r = next(), next()
+	h.c = math.Float64frombits(uint64(next()))
+	h.seed = next()
+
+	what := kindName(shard)
+	if h.n < 0 || h.k < 1 || h.r < 1 {
+		return fileHeader{}, fmt.Errorf("walkindex: invalid %s header (n=%d, k=%d, r=%d)", what, h.n, h.k, h.r)
+	}
+	if h.lo < 0 || h.hi < h.lo || h.hi > h.n {
+		return fileHeader{}, fmt.Errorf("walkindex: invalid %s header range [%d,%d) with n=%d", what, h.lo, h.hi, h.n)
+	}
+	if h.k > maxHorizon {
+		return fileHeader{}, fmt.Errorf("walkindex: implausible walk horizon k = %d", h.k)
+	}
+	if !(h.c > 0 && h.c < 1) {
+		return fileHeader{}, fmt.Errorf("walkindex: invalid %s header damping factor %v", what, h.c)
+	}
+	width := h.hi - h.lo
+	elems := width * h.r * h.k
+	if width > 0 && (elems/width/h.r != h.k || elems > maxElems) {
+		return fileHeader{}, fmt.Errorf("walkindex: implausible %s size width*r*k = %d*%d*%d", what, width, h.r, h.k)
+	}
+	return h, nil
+}
+
+// index is step 6 of the load order: the Index a validated header
+// describes, over store.
+func (h fileHeader) index(store PathStore) *Index {
+	ix := &Index{n: int(h.n), lo: int(h.lo), hi: int(h.hi), shard: h.shard,
+		k: int(h.k), r: int(h.r), c: h.c, seed: h.seed, store: store}
+	ix.initPow()
+	return ix
+}
 
 // Sentinel errors returned by Save and Load (possibly wrapped with detail).
 var (
@@ -128,36 +269,28 @@ func formatGuard(rows, k, r int64, c float64, format int) error {
 // mmap-able revision.
 func (ix *Index) Save(w io.Writer) error { return ix.SaveFormat(w, FormatV1) }
 
-// SaveFormat writes the index to w in the requested on-disk format. It
-// validates the index against the load-side guards first and returns an
+// SaveFormat writes the index to w in the requested on-disk format, as a
+// shard file when it was built or loaded as a shard. It validates the
+// index against the load-side guards first and returns an
 // ErrFormatLimits-wrapped error instead of writing an unloadable file.
 func (ix *Index) SaveFormat(w io.Writer, format int) error {
 	if format != FormatV1 && format != FormatV2 {
 		return fmt.Errorf("%w: unknown save format %d", ErrVersion, format)
 	}
-	if err := formatGuard(int64(ix.n), int64(ix.k), int64(ix.r), ix.c, format); err != nil {
+	width := ix.hi - ix.lo
+	if err := formatGuard(int64(width), int64(ix.k), int64(ix.r), ix.c, format); err != nil {
 		return err
 	}
-	var hdr [headerSize]byte
-	copy(hdr[:8], magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(format))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(int64(ix.n)))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(int64(ix.k)))
-	binary.LittleEndian.PutUint64(hdr[28:], uint64(int64(ix.r)))
-	binary.LittleEndian.PutUint64(hdr[36:], math.Float64bits(ix.c))
-	binary.LittleEndian.PutUint64(hdr[44:], uint64(ix.seed))
+	hdr := ix.header(uint32(format)).bytes()
+	what := kindName(ix.shard)
 	if format == FormatV1 {
-		return writeDense(w, hdr[:], ix.store.Row, ix.n, "index")
+		return writeDense(w, hdr, ix.store.Row, width, what)
 	}
-	blocks, err := encodeV2Blocks(ix.store.Row, ix.n, ix.k, ix.r)
+	blocks, err := encodeV2Blocks(ix.store.Row, width, ix.k, ix.r)
 	if err != nil {
 		return err
 	}
-	pre := make([]byte, headerSize+8)
-	copy(pre, hdr[:])
-	binary.LittleEndian.PutUint32(pre[headerSize:], v2BlockVertices)
-	binary.LittleEndian.PutUint32(pre[headerSize+4:], uint32(len(blocks)))
-	return writeV2(w, pre, blocks, "index")
+	return writeV2(w, appendV2Meta(hdr, v2BlockVertices, len(blocks)), blocks, what)
 }
 
 // writeDense writes a format-v1 body: the header, every walk block as raw
@@ -201,72 +334,51 @@ func writeDense(w io.Writer, hdr []byte, rowOf func(v int) []int32, rows int, wh
 // Load reads an index written by Save or SaveFormat, negotiating the
 // format from the version field (v1 and v2 both decode into a dense
 // in-memory index; use LoadMapped to page a v2 file on demand instead).
-// It rejects files with a wrong magic, an unsupported format version, a
-// truncated payload, a checksum mismatch, or trailing data after the
-// trailer, in the documented load order above.
-func Load(r io.Reader) (*Index, error) {
+// It rejects files with a wrong magic (a shard file included), an
+// unsupported format version, a truncated payload, a checksum mismatch,
+// or trailing data after the trailer, in the documented load order above.
+func Load(r io.Reader) (*Index, error) { return load(r, false) }
+
+// LoadShard is Load for shard files: it reads only files saved from an
+// index built by BuildShard (or loaded by LoadShard).
+func LoadShard(r io.Reader) (*Index, error) { return load(r, true) }
+
+func load(r io.Reader, shard bool) (*Index, error) {
 	// The CRC must cover exactly the bytes logically consumed (a tee under
 	// bufio would also hash read-ahead, including the trailing checksum),
 	// so readFull feeds each chunk to the hash by hand.
 	crc := crc32.NewIEEE()
 	br := bufio.NewReaderSize(r, 1<<16)
+	pfx := sectionPrefix(shard)
 
 	// Step 1: header parse + plausibility guards.
-	var hdr [headerSize]byte
-	if err := readFull(br, crc, hdr[:], "header"); err != nil {
+	h, err := readHeader(br, crc, shard)
+	if err != nil {
 		return nil, err
-	}
-	if [8]byte(hdr[:8]) != magic {
-		return nil, ErrBadMagic
-	}
-	version := binary.LittleEndian.Uint32(hdr[8:])
-	if version != FormatV1 && version != FormatV2 {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads versions %d and %d", ErrVersion, version, FormatV1, FormatV2)
-	}
-	n := int64(binary.LittleEndian.Uint64(hdr[12:]))
-	k := int64(binary.LittleEndian.Uint64(hdr[20:]))
-	fps := int64(binary.LittleEndian.Uint64(hdr[28:]))
-	c := math.Float64frombits(binary.LittleEndian.Uint64(hdr[36:]))
-	seed := int64(binary.LittleEndian.Uint64(hdr[44:]))
-	if n < 0 || k < 1 || fps < 1 {
-		return nil, fmt.Errorf("walkindex: invalid header (n=%d, k=%d, r=%d)", n, k, fps)
-	}
-	if k > maxHorizon {
-		return nil, fmt.Errorf("walkindex: implausible walk horizon k = %d", k)
-	}
-	if !(c > 0 && c < 1) {
-		return nil, fmt.Errorf("walkindex: invalid header damping factor %v", c)
-	}
-	elems := n * fps * k
-	if n > 0 && (elems/n/fps != k || elems > maxElems) {
-		return nil, fmt.Errorf("walkindex: implausible index size n*r*k = %d*%d*%d", n, fps, k)
 	}
 
 	// Step 2: payload decode, allocations growing with bytes read.
+	width := h.hi - h.lo
 	var paths []int32
-	var err error
-	if version == FormatV1 {
-		paths, err = readDensePayload(br, crc, elems, "paths")
+	if h.version == FormatV1 {
+		paths, err = readDensePayload(br, crc, width*h.r*h.k, pfx+"paths")
 	} else {
-		paths, err = readV2Payload(br, crc, n, k, fps, "paths")
+		paths, err = readV2Payload(br, crc, width, h.k, h.r, pfx+"paths")
 	}
 	if err != nil {
 		return nil, err
 	}
 
 	// Steps 3+4: checksum, then the trailing-data probe.
-	if err := checkTrailer(br, crc, "checksum"); err != nil {
+	if err := checkTrailer(br, crc, pfx+"checksum"); err != nil {
 		return nil, err
 	}
-	// Step 5: per-entry range validation.
-	if err := validateEntries(paths, n, "path"); err != nil {
+	// Step 5: per-entry range validation (positions span the whole graph).
+	if err := validateEntries(paths, h.n, pfx+"path"); err != nil {
 		return nil, err
 	}
 	// Step 6: construction from validated fields only.
-	ix := &Index{n: int(n), k: int(k), r: int(fps), c: c, seed: seed,
-		store: newDenseStore(paths, int(fps*k))}
-	ix.initPow()
-	return ix, nil
+	return h.index(newDenseStore(paths, int(h.r*h.k))), nil
 }
 
 // readDensePayload reads elems raw little-endian int32s. The slice grows

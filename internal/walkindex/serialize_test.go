@@ -6,6 +6,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"oipsr/graph/gen"
@@ -37,23 +39,83 @@ func reseal(data []byte) {
 	binary.LittleEndian.PutUint32(data[len(data)-4:], sum)
 }
 
+// TestSaveLoadRoundTrip: both formats reproduce the index exactly, for a
+// full index and for shards (including a one-shard plan owning [0, n)),
+// dense and mapped. Corruption and truncation are rejected, and Load and
+// LoadShard refuse each other's files with ErrBadMagic.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	ix := buildSmall(t)
-	data := saveBytes(t, ix)
-	got, err := Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ix.Equal(got) {
-		t.Fatal("loaded index differs from saved index")
-	}
-	// Bit-identical query results, not just equal storage.
-	a := ssRow(t, ix, 3)
-	b := ssRow(t, got, 3)
-	for v := range a {
-		if a[v] != b[v] {
-			t.Fatalf("SingleSource(3)[%d]: %g != %g after round-trip", v, a[v], b[v])
-		}
+	g := gen.WebGraph(50, 5, 7)
+	opt := Options{C: 0.7, K: 9, Walks: 30, Seed: 42}
+	for _, rg := range indexRanges(g.NumVertices()) {
+		t.Run(rg.name, func(t *testing.T) {
+			ix := rg.mustBuild(t, g, opt)
+			hdrSize, other := headerSize, LoadShard
+			if rg.shard {
+				hdrSize, other = shardHeaderSize, Load
+			}
+			for _, format := range []int{FormatV1, FormatV2} {
+				var buf bytes.Buffer
+				if err := ix.SaveFormat(&buf, format); err != nil {
+					t.Fatal(err)
+				}
+				data := buf.Bytes()
+				got, err := rg.load(bytes.NewReader(data))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ix.Equal(got) {
+					t.Fatalf("format %d: loaded index differs from saved index", format)
+				}
+				if got.Lo() != rg.lo || got.Hi() != rg.hi || got.N() != g.NumVertices() {
+					t.Fatalf("format %d: round-tripped range/size wrong: n=%d [%d,%d)", format, got.N(), got.Lo(), got.Hi())
+				}
+				if !rg.shard {
+					// Bit-identical query results, not just equal storage.
+					a := ssRow(t, ix, 3)
+					b := ssRow(t, got, 3)
+					for v := range a {
+						if a[v] != b[v] {
+							t.Fatalf("SingleSource(3)[%d]: %g != %g after round-trip", v, a[v], b[v])
+						}
+					}
+				}
+				if format == FormatV2 {
+					path := filepath.Join(t.TempDir(), "index.srwk")
+					if err := os.WriteFile(path, data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					load := LoadMapped
+					if rg.shard {
+						load = LoadShardMapped
+					}
+					mx, err := load(path, MappedOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ix.Equal(mx) {
+						t.Fatal("mapped index differs from saved index")
+					}
+					mx.Close()
+				}
+				// A file of the other kind is not a silent misread.
+				if _, err := other(bytes.NewReader(data)); !errors.Is(err, ErrBadMagic) {
+					t.Fatalf("format %d: loading as the other file kind: got %v, want ErrBadMagic", format, err)
+				}
+				if format == FormatV2 {
+					continue
+				}
+				// Bit corruption in the payload trips the checksum.
+				corrupt := append([]byte(nil), data...)
+				corrupt[hdrSize+5] ^= 0x40
+				if _, err := rg.load(bytes.NewReader(corrupt)); !errors.Is(err, ErrChecksum) {
+					t.Fatalf("corrupted payload: got %v, want ErrChecksum", err)
+				}
+				// Truncation is a clean error, not a panic.
+				if _, err := rg.load(bytes.NewReader(data[:len(data)/2])); err == nil {
+					t.Fatal("truncated file: expected error")
+				}
+			}
+		})
 	}
 }
 

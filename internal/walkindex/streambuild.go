@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"oipsr/graph"
 	"oipsr/internal/par"
@@ -76,49 +75,14 @@ type StreamStats struct {
 // budget; a budget below one row's 4*R*K bytes degrades to one-vertex
 // slices rather than failing.
 func BuildStreaming(g *graph.Graph, opt Options, w io.WriterAt, budgetBytes int64) (*StreamStats, error) {
-	if err := opt.resolve(); err != nil {
-		return nil, err
-	}
-	n := g.NumVertices()
-	if err := formatGuard(int64(n), int64(opt.K), int64(opt.Walks), opt.C, FormatV2); err != nil {
-		return nil, err
-	}
-	var hdr [headerSize]byte
-	copy(hdr[:8], magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], FormatV2)
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(int64(n)))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(int64(opt.K)))
-	binary.LittleEndian.PutUint64(hdr[28:], uint64(int64(opt.Walks)))
-	binary.LittleEndian.PutUint64(hdr[36:], math.Float64bits(opt.C))
-	binary.LittleEndian.PutUint64(hdr[44:], uint64(opt.Seed))
-	return streamV2(g, opt, 0, n, hdr[:], w, budgetBytes, "index")
+	return buildStreaming(g, opt, 0, g.NumVertices(), false, w, budgetBytes)
 }
 
 // BuildShardStreaming is BuildStreaming for the shard of vertex range
-// [lo, hi): the bytes written are identical to
-// ShardIndex.SaveFormat(w, FormatV2) on BuildShard(g, opt, lo, hi).
+// [lo, hi): the bytes written are identical to SaveFormat(w, FormatV2) on
+// BuildShard(g, opt, lo, hi).
 func BuildShardStreaming(g *graph.Graph, opt Options, lo, hi int, w io.WriterAt, budgetBytes int64) (*StreamStats, error) {
-	if err := opt.resolve(); err != nil {
-		return nil, err
-	}
-	n := g.NumVertices()
-	if lo < 0 || hi < lo || hi > n {
-		return nil, fmt.Errorf("walkindex: shard range [%d,%d) outside [0,%d)", lo, hi, n)
-	}
-	if err := formatGuard(int64(hi-lo), int64(opt.K), int64(opt.Walks), opt.C, FormatV2); err != nil {
-		return nil, err
-	}
-	var hdr [shardHeaderSize]byte
-	copy(hdr[:8], shardMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], FormatV2)
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(int64(n)))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(int64(lo)))
-	binary.LittleEndian.PutUint64(hdr[28:], uint64(int64(hi)))
-	binary.LittleEndian.PutUint64(hdr[36:], uint64(int64(opt.K)))
-	binary.LittleEndian.PutUint64(hdr[44:], uint64(int64(opt.Walks)))
-	binary.LittleEndian.PutUint64(hdr[52:], math.Float64bits(opt.C))
-	binary.LittleEndian.PutUint64(hdr[60:], uint64(opt.Seed))
-	return streamV2(g, opt, lo, hi, hdr[:], w, budgetBytes, "shard")
+	return buildStreaming(g, opt, lo, hi, true, w, budgetBytes)
 }
 
 // streamSliceVertices resolves the byte budget to a generation slice width
@@ -135,25 +99,34 @@ func streamSliceVertices(budget int64, stride, rows int) int {
 	return int(s)
 }
 
-// streamV2 is the shared one-pass core of BuildStreaming and
-// BuildShardStreaming; opt is already resolved and hdr is the caller's
-// format header (index or shard). Rows [lo, hi) of g are generated slice
-// by slice and encoded block by block into w.
-func streamV2(g *graph.Graph, opt Options, lo, hi int, hdr []byte, w io.WriterAt, budget int64, what string) (*StreamStats, error) {
-	if budget < 1 {
-		return nil, fmt.Errorf("walkindex: streaming %s build budget %d bytes, want >= 1", what, budget)
+// buildStreaming is the one-pass core of BuildStreaming and
+// BuildShardStreaming: rows [lo, hi) of g are generated slice by slice and
+// encoded block by block into w, under the header of the file kind.
+func buildStreaming(g *graph.Graph, opt Options, lo, hi int, shard bool, w io.WriterAt, budget int64) (*StreamStats, error) {
+	if err := opt.resolve(); err != nil {
+		return nil, err
+	}
+	n := g.NumVertices()
+	if err := checkRange(lo, hi, n); err != nil {
+		return nil, err
 	}
 	rows := hi - lo
 	k, r := opt.K, opt.Walks
+	if err := formatGuard(int64(rows), int64(k), int64(r), opt.C, FormatV2); err != nil {
+		return nil, err
+	}
+	what := kindName(shard)
+	if budget < 1 {
+		return nil, fmt.Errorf("walkindex: streaming %s build budget %d bytes, want >= 1", what, budget)
+	}
 	stride := r * k
 	nb := int(v2NumBlocks(int64(rows), v2BlockVertices))
 
-	// pre is exactly what writeV2 hashes and writes first: the caller's
+	// pre is exactly what writeV2 hashes and writes first: the file
 	// header plus the v2 block size/count meta.
-	pre := make([]byte, len(hdr)+8)
-	copy(pre, hdr)
-	binary.LittleEndian.PutUint32(pre[len(hdr):], v2BlockVertices)
-	binary.LittleEndian.PutUint32(pre[len(hdr)+4:], uint32(nb))
+	hdr := fileHeader{shard: shard, version: FormatV2, n: int64(n), lo: int64(lo), hi: int64(hi),
+		k: int64(k), r: int64(r), c: opt.C, seed: opt.Seed}.bytes()
+	pre := appendV2Meta(hdr, v2BlockVertices, nb)
 	dirOff := int64(len(pre))
 	payloadOff := dirOff + 8*int64(nb+1)
 

@@ -103,7 +103,7 @@ func TestBuildStreamingByteIdentical(t *testing.T) {
 }
 
 // TestBuildShardStreamingByteIdentical: the shard variant must reproduce
-// ShardIndex.SaveFormat(FormatV2) bytes for ranges that start and end in
+// SaveFormat(FormatV2) bytes of a shard for ranges that start and end in
 // the middle of posting blocks, including empty and one-vertex ranges.
 func TestBuildShardStreamingByteIdentical(t *testing.T) {
 	g := gen.WebGraph(300, 5, 21)

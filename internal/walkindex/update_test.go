@@ -49,41 +49,43 @@ func randomEdits(rng *rand.Rand, g *graph.Graph, count int) []graph.Edit {
 // edit batches on random graphs, Update produces an index Equal() to a
 // fresh Build on the edited graph, for every worker count — including
 // across chains of successive batches, which also exercises the
-// incremental patching of the inverted visit index.
+// incremental patching of the inverted visit index. The shard rows run
+// the same chains: each repaired shard equals a fresh BuildShard, so a
+// fleet applying the same edits stays an exact partition of the
+// single-node index.
 func TestUpdateBitIdenticalProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 25; trial++ {
-		n := 5 + rng.Intn(60)
-		g := gen.ErdosRenyi(n, 2+rng.Intn(5*n), rng.Int63())
-		opt := Options{Walks: 10 + rng.Intn(30), Seed: rng.Int63(), Workers: 1}
+	for i, row := range indexRanges(0) { // each trial's n sets the range
+		t.Run(row.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(9)) // every row repairs the same chains
+			for trial := 0; trial < 25; trial++ {
+				n := 5 + rng.Intn(60)
+				g := gen.ErdosRenyi(n, 2+rng.Intn(5*n), rng.Int63())
+				opt := Options{Walks: 10 + rng.Intn(30), Seed: rng.Int63(), Workers: 1}
+				rg := indexRanges(n)[i]
 
-		for _, workers := range []int{1, 2, 3, 7} {
-			opt.Workers = workers
-			ix, err := Build(g, opt)
-			if err != nil {
-				t.Fatal(err)
+				for _, workers := range []int{1, 2, 3, 7} {
+					opt.Workers = workers
+					ix := rg.mustBuild(t, g, opt)
+					cur := g
+					for batch := 0; batch < 3; batch++ {
+						edits := randomEdits(rng, cur, 1+rng.Intn(12))
+						next, sum, err := cur.ApplyEdits(edits)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := ix.Update(next, sum.DirtyIn, workers); err != nil {
+							t.Fatal(err)
+						}
+						fresh := rg.mustBuild(t, next, opt)
+						if !ix.Equal(fresh) {
+							t.Fatalf("trial %d workers %d batch %d [%d,%d): Update != fresh Build (n=%d, %d edits, %d dirty)",
+								trial, workers, batch, rg.lo, rg.hi, n, len(edits), len(sum.DirtyIn))
+						}
+						cur = next
+					}
+				}
 			}
-			cur := g
-			for batch := 0; batch < 3; batch++ {
-				edits := randomEdits(rng, cur, 1+rng.Intn(12))
-				next, sum, err := cur.ApplyEdits(edits)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := ix.Update(next, sum.DirtyIn, workers); err != nil {
-					t.Fatal(err)
-				}
-				fresh, err := Build(next, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ix.Equal(fresh) {
-					t.Fatalf("trial %d workers %d batch %d: Update != fresh Build (n=%d, %d edits, %d dirty)",
-						trial, workers, batch, n, len(edits), len(sum.DirtyIn))
-				}
-				cur = next
-			}
-		}
+		})
 	}
 }
 
@@ -192,18 +194,19 @@ func TestUpdateAfterLoad(t *testing.T) {
 
 func TestUpdateValidation(t *testing.T) {
 	g := gen.WebGraph(20, 4, 1)
-	ix, err := Build(g, Options{Walks: 5, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := gen.WebGraph(21, 4, 1)
-	if _, err := ix.Update(other, nil, 1); err == nil {
-		t.Error("Update accepted a graph with a different vertex count")
-	}
-	if _, err := ix.Update(g, []int{-1}, 1); err == nil {
-		t.Error("Update accepted a negative dirty vertex")
-	}
-	if _, err := ix.Update(g, []int{20}, 1); err == nil {
-		t.Error("Update accepted an out-of-range dirty vertex")
+	for _, rg := range indexRanges(g.NumVertices()) {
+		t.Run(rg.name, func(t *testing.T) {
+			ix := rg.mustBuild(t, g, Options{Walks: 5, Seed: 2})
+			other := gen.WebGraph(21, 4, 1)
+			if _, err := ix.Update(other, nil, 1); err == nil {
+				t.Error("Update accepted a graph with a different vertex count")
+			}
+			if _, err := ix.Update(g, []int{-1}, 1); err == nil {
+				t.Error("Update accepted a negative dirty vertex")
+			}
+			if _, err := ix.Update(g, []int{20}, 1); err == nil {
+				t.Error("Update accepted an out-of-range dirty vertex")
+			}
+		})
 	}
 }

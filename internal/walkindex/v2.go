@@ -226,6 +226,13 @@ func encodeV2Blocks(rowOf func(v int) []int32, rows, k, r int) ([][]byte, error)
 	return blocks, nil
 }
 
+// appendV2Meta appends the v2 block size and count to a file header,
+// giving the prefix writeV2 writes first.
+func appendV2Meta(hdr []byte, blockB, numBlocks int) []byte {
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(blockB))
+	return binary.LittleEndian.AppendUint32(hdr, uint32(numBlocks))
+}
+
 // writeV2 writes a v2 file: pre (the format header including the block
 // size and count), the block directory derived from the block lengths, the
 // concatenated blocks, and the CRC trailer over everything before it.
@@ -268,6 +275,18 @@ func writeV2(w io.Writer, pre []byte, blocks [][]byte, what string) error {
 // 2 header bytes plus 5 bytes per explicit entry per walk.
 func v2MaxBlockLen(width, k, r int64) int64 {
 	return min(maxV2BlockBytes, width*r*(5*k+2))
+}
+
+// checkV2BlockLen rejects an implausible encoded block length before the
+// block's width*r*k entries are allocated. Every walk carries at least its
+// one-byte header, so a block shorter than width*r bytes cannot decode;
+// rejecting it up front bounds the allocation at k entries per byte read,
+// however many fingerprints a forged header claims.
+func checkV2BlockLen(blen, width, k, r int64) error {
+	if blen < width*r || blen > v2MaxBlockLen(width, k, r) {
+		return fmt.Errorf("walkindex: implausible v2 block length %d", blen)
+	}
+	return nil
 }
 
 // readV2Dir reads the v2 payload preamble — block size, block count, and
@@ -333,8 +352,8 @@ func readV2Payload(br *bufio.Reader, crc hash.Hash32, rows, k, r int64, section 
 	for b := int64(0); b < nb; b++ {
 		width := min(blockB, rows-b*blockB)
 		blen := dir[b+1] - dir[b]
-		if blen > v2MaxBlockLen(width, k, r) {
-			return nil, fmt.Errorf("walkindex: implausible v2 block length %d", blen)
+		if err := checkV2BlockLen(blen, width, k, r); err != nil {
+			return nil, err
 		}
 		if int64(cap(blockBuf)) < blen {
 			blockBuf = make([]byte, blen)

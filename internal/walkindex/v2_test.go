@@ -101,10 +101,10 @@ func TestSaveValidatesLoadGuards(t *testing.T) {
 		ix     *Index
 		format int
 	}{
-		{"horizon over v1 guard", &Index{n: 1, k: int(maxHorizon) + 1, r: 1, c: 0.5}, FormatV1},
-		{"horizon over v2 guard", &Index{n: 1, k: int(maxV2Horizon) + 1, r: 1, c: 0.5}, FormatV2},
-		{"element overflow", &Index{n: 1 << 30, k: 1 << 10, r: 1 << 10, c: 0.5}, FormatV1},
-		{"bad damping", &Index{n: 1, k: 2, r: 1, c: 1.5}, FormatV1},
+		{"horizon over v1 guard", &Index{n: 1, hi: 1, k: int(maxHorizon) + 1, r: 1, c: 0.5}, FormatV1},
+		{"horizon over v2 guard", &Index{n: 1, hi: 1, k: int(maxV2Horizon) + 1, r: 1, c: 0.5}, FormatV2},
+		{"element overflow", &Index{n: 1 << 30, hi: 1 << 30, k: 1 << 10, r: 1 << 10, c: 0.5}, FormatV1},
+		{"bad damping", &Index{n: 1, hi: 1, k: 2, r: 1, c: 1.5}, FormatV1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer

@@ -22,11 +22,27 @@
 // at horizon K. The sweep is O(R*K) per vertex with sequential access into
 // one contiguous walk block, so it costs O(n*R*K) independent of the graph
 // — no Theta(n^2) state is ever materialized. It is the reference path,
-// and the only one for an index without its graph (a plain load, a
-// shard). Given the graph, SingleSourceFrom answers the same query by a
-// reverse probe that touches only the vertices whose walks meet q's, bit
-// for bit equal to the sweep, with a planner falling back to the sweep
-// where the probe would cost more (probe.go).
+// and the only one for an index without its graph (a plain load).
+// Given the graph, SingleSourceFrom answers the same query by a reverse
+// probe that touches only the vertices whose walks meet q's, bit for bit
+// equal to the sweep, with a planner falling back to the sweep where the
+// probe would cost more (probe.go).
+//
+// An Index stores the walks of the start vertices it owns, a contiguous
+// range [lo, hi) of the graph's n vertices. Build owns [0, n); BuildShard
+// owns any sub-range, and its rows are exactly the rows Build stores for
+// those vertices, bit for bit. A shard answers queries over its owned
+// targets for any source, because the coupled walks are pure functions
+// of (graph, Options): given the graph, sourceRow regenerates a foreign
+// vertex's walks through walkFrom, identical to the row its owner stores.
+// So MultiSource's rows over [lo, hi) are the exact sub-slices of the
+// full rows, and concatenating a covering shard set's rows reproduces
+// the single-node answer with no merge arithmetic. The similarity join
+// splits along fingerprints instead (JoinCandidates, join.go), and Update
+// repairs the owned walks with the same code for any range (update.go).
+// SingleSource, Join and the probe answer over every target and so need
+// a full index. Whether the index was built as a shard only picks its
+// file's magic (serialize.go).
 //
 // Storage is laid out vertex-major — entry (r*K + t) of vertex v's walk
 // block is the position of v's fingerprint-r walker after step t+1, or -1
@@ -39,6 +55,7 @@ package walkindex
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -66,20 +83,23 @@ type Options struct {
 	Workers int
 }
 
-// Index is a built walk index, safe for concurrent queries. Update (see
-// update.go) is the one mutating operation; callers must serialize it
-// against queries and other Updates.
+// Index is a built walk index of the start vertices [lo, hi), safe for
+// concurrent queries. Update (see update.go) is the one mutating
+// operation; callers must serialize it against queries and other Updates.
 type Index struct {
-	n    int     // vertices
-	k    int     // walk horizon
-	r    int     // fingerprints per vertex
-	c    float64 // damping factor
-	seed int64
+	n      int     // vertices of the graph
+	lo, hi int     // owned start vertices; a full index owns [0, n)
+	shard  bool    // built or loaded as a shard: picks the file magic
+	k      int     // walk horizon
+	r      int     // fingerprints per vertex
+	c      float64 // damping factor
+	seed   int64
 
-	// store backs the per-vertex walk blocks: Row(v) holds r*k entries
-	// where entry fp*k+t is the position of v's fingerprint-fp walker
-	// after step t+1, or -1 if the walk died at or before that step. See
-	// store.go for the seam and its dense/mapped implementations.
+	// store backs the owned walk blocks: Row(v-lo) holds vertex v's r*k
+	// entries, where entry fp*k+t is the position of v's fingerprint-fp
+	// walker after step t+1, or -1 if the walk died at or before that
+	// step. See store.go for the seam and its dense/mapped
+	// implementations.
 	store PathStore
 
 	// pow[t] = c^(t+1), the first-meeting weight of path index t.
@@ -93,9 +113,7 @@ type Index struct {
 }
 
 // resolve normalizes Options in place: defaults filled, the horizon
-// derived from Eps when K is zero, bounds validated. Build and BuildShard
-// share it so a shard set and a full index resolve identical parameters
-// from identical flags.
+// derived from Eps when K is zero, bounds validated.
 func (opt *Options) resolve() error {
 	if opt.C == 0 {
 		opt.C = 0.6
@@ -132,14 +150,33 @@ func (opt *Options) resolve() error {
 
 // Build constructs the walk index for g.
 func Build(g *graph.Graph, opt Options) (*Index, error) {
+	return build(g, opt, 0, g.NumVertices(), false)
+}
+
+// BuildShard constructs the walk index of vertex range [lo, hi) of g. The
+// stored rows are bit-identical to the corresponding rows of Build(g, opt):
+// building n/S-vertex shards on S machines and a full index on one are the
+// same computation, partitioned. The index saves as a shard file.
+func BuildShard(g *graph.Graph, opt Options, lo, hi int) (*Index, error) {
+	return build(g, opt, lo, hi, true)
+}
+
+func build(g *graph.Graph, opt Options, lo, hi int, shard bool) (*Index, error) {
 	if err := opt.resolve(); err != nil {
 		return nil, err
 	}
-
 	n := g.NumVertices()
-	paths := make([]int32, n*opt.Walks*opt.K)
+	if err := checkRange(lo, hi, n); err != nil {
+		return nil, err
+	}
+
+	width := hi - lo
+	paths := make([]int32, width*opt.Walks*opt.K)
 	ix := &Index{
 		n:     n,
+		lo:    lo,
+		hi:    hi,
+		shard: shard,
 		k:     opt.K,
 		r:     opt.Walks,
 		c:     opt.C,
@@ -149,17 +186,25 @@ func Build(g *graph.Graph, opt Options) (*Index, error) {
 	ix.initPow()
 
 	hseed := splitmix64(uint64(opt.Seed))
-	workers := par.ResolveMax(opt.Workers, n)
+	workers := par.ResolveMax(opt.Workers, width)
 	par.Do(workers, func(w int) {
-		lo, hi := par.Range(n, workers, w)
-		for v := lo; v < hi; v++ {
+		wlo, whi := par.Range(width, workers, w)
+		for v := wlo; v < whi; v++ {
 			base := v * ix.r * ix.k
 			for fp := 0; fp < ix.r; fp++ {
-				walkFrom(g, hseed, fp, 0, v, paths[base+fp*ix.k:base+(fp+1)*ix.k])
+				walkFrom(g, hseed, fp, 0, lo+v, paths[base+fp*ix.k:base+(fp+1)*ix.k])
 			}
 		}
 	})
 	return ix, nil
+}
+
+// checkRange validates an owned range [lo, hi) of an n-vertex graph.
+func checkRange(lo, hi, n int) error {
+	if lo < 0 || hi < lo || hi > n {
+		return fmt.Errorf("walkindex: shard range [%d,%d) outside [0,%d)", lo, hi, n)
+	}
+	return nil
 }
 
 // walkFrom fills path[tau:] with the coupled reverse walk of fingerprint fp
@@ -167,8 +212,8 @@ func Build(g *graph.Graph, opt Options) (*Index, error) {
 // whole walk; Update's suffix repair passes the first dirty occupancy). A
 // prefix slice (len(path) < K) yields exactly the first len(path) entries
 // of the full walk, because each step depends only on the previous
-// position — shards exploit this to recompute foreign walks on demand,
-// bit-identically to what a full Build would have stored.
+// position — sourceRow exploits this to recompute foreign walks on
+// demand, bit-identically to what a full Build would have stored.
 func walkFrom(g *graph.Graph, hseed uint64, fp, tau, p int, path []int32) {
 	for t := tau; t < len(path); t++ {
 		in := g.In(p)
@@ -212,8 +257,27 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// N returns the number of indexed vertices.
+// N returns the vertex count of the graph the index was built on.
 func (ix *Index) N() int { return ix.n }
+
+// Lo returns the first owned vertex.
+func (ix *Index) Lo() int { return ix.lo }
+
+// Hi returns one past the last owned vertex.
+func (ix *Index) Hi() int { return ix.hi }
+
+// Width returns the number of owned vertices, hi-lo.
+func (ix *Index) Width() int { return ix.hi - ix.lo }
+
+// Owns reports whether the index stores v's walks.
+func (ix *Index) Owns(v int) bool { return v >= ix.lo && v < ix.hi }
+
+// full reports whether the index owns every vertex, as the queries over
+// all targets (SingleSource, Join, the probe) require.
+func (ix *Index) full() bool { return ix.lo == 0 && ix.hi == ix.n }
+
+// errPartial is what the queries over all targets return on a shard.
+var errPartial = errors.New("walkindex: query needs a full index, not a shard")
 
 // Horizon returns the walk horizon K.
 func (ix *Index) Horizon() int { return ix.k }
@@ -240,6 +304,22 @@ func (ix *Index) Backend() string { return ix.store.Kind() }
 // index is a no-op, so callers can defer it unconditionally.
 func (ix *Index) Close() error { return ix.store.Close() }
 
+// sourceRow returns the walk block of any vertex q: the stored row when
+// the index owns q, otherwise a recomputation from g into buf (which must
+// hold r*k entries). The recomputed block equals the owner's stored row
+// bitwise — walkFrom is the code path Build stored it through. A full
+// index never reads g.
+func (ix *Index) sourceRow(g *graph.Graph, q int, buf []int32) []int32 {
+	if ix.Owns(q) {
+		return ix.store.Row(q - ix.lo)
+	}
+	hseed := splitmix64(uint64(ix.seed))
+	for fp := 0; fp < ix.r; fp++ {
+		walkFrom(g, hseed, fp, 0, q, buf[fp*ix.k:(fp+1)*ix.k])
+	}
+	return buf
+}
+
 // cancelCheckTargets is how many target vertices a sweep processes
 // between context-cancellation polls: each target costs O(R·K) work, so
 // polling every 64 keeps the overhead unmeasurable while an abandoned
@@ -253,6 +333,9 @@ const cancelCheckTargets = 64
 // contents of dst are then unspecified. An uncancelled ctx never changes
 // the result: the scores are bit-identical to a context-free sweep.
 func (ix *Index) SingleSource(ctx context.Context, q int, dst []float64) ([]float64, error) {
+	if !ix.full() {
+		return nil, errPartial
+	}
 	if dst == nil {
 		dst = make([]float64, ix.n)
 	}
@@ -292,17 +375,24 @@ func (ix *Index) SingleSource(ctx context.Context, q int, dst []float64) ([]floa
 // the same precomputed 1/R — so Pair(a, b) is bit-identical to
 // SingleSource(a, nil)[b] (and, by symmetry of the meeting computation, to
 // SingleSource(b, nil)[a] and to the MultiSource and Join estimates).
-func (ix *Index) Pair(a, b int) float64 {
+// Endpoints the index does not own are regenerated from g through
+// sourceRow; a full index never reads g.
+func (ix *Index) Pair(g *graph.Graph, a, b int) float64 {
 	if a == b {
 		return 1
 	}
-	return pairFromRows(ix.store.Row(a), ix.store.Row(b), ix.pow, ix.k, ix.r)
+	var abuf, bbuf []int32
+	if !ix.Owns(a) {
+		abuf = make([]int32, ix.r*ix.k)
+	}
+	if !ix.Owns(b) {
+		bbuf = make([]int32, ix.r*ix.k)
+	}
+	return pairFromRows(ix.sourceRow(g, a, abuf), ix.sourceRow(g, b, bbuf), ix.pow, ix.k, ix.r)
 }
 
 // pairFromRows runs the first-meeting accumulation over two walk blocks
-// (r*k entries each, walk-major). Index.Pair and ShardIndex scoring both
-// go through it, so a shard scoring a pair from recomputed rows produces
-// the unsharded estimate bit for bit.
+// (r*k entries each, walk-major). Pair and ScorePairs both go through it.
 func pairFromRows(ap, bp []int32, pow []float64, k, r int) float64 {
 	var s float64
 	for fp := 0; fp < r; fp++ {
@@ -321,14 +411,14 @@ func pairFromRows(ap, bp []int32, pow []float64, k, r int) float64 {
 	return s * (1 / float64(r))
 }
 
-// Equal reports whether two indexes hold identical parameters and paths
-// (and therefore answer every query bit-identically).
+// Equal reports whether two indexes hold identical parameters, owned
+// ranges and paths (and therefore answer every query bit-identically).
 func (ix *Index) Equal(other *Index) bool {
-	if ix.n != other.n || ix.k != other.k || ix.r != other.r ||
-		ix.c != other.c || ix.seed != other.seed {
+	if ix.n != other.n || ix.lo != other.lo || ix.hi != other.hi ||
+		ix.k != other.k || ix.r != other.r || ix.c != other.c || ix.seed != other.seed {
 		return false
 	}
-	for v := 0; v < ix.n; v++ {
+	for v := 0; v < ix.hi-ix.lo; v++ {
 		a, b := ix.store.Row(v), other.store.Row(v)
 		for i, p := range a {
 			if b[i] != p {

@@ -2,8 +2,10 @@ package walkindex
 
 import (
 	"context"
+	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"oipsr/graph"
@@ -22,13 +24,69 @@ func ssRow(t *testing.T, ix *Index, q int) []float64 {
 }
 
 // msRows is the test shorthand for an uncancellable MultiSource call.
-func msRows(t *testing.T, ix *Index, sources []int, workers int) [][]float64 {
+func msRows(t *testing.T, ix *Index, g *graph.Graph, sources []int, workers int) [][]float64 {
 	t.Helper()
-	rows, err := ix.MultiSource(context.Background(), sources, workers)
+	rows, err := ix.MultiSource(context.Background(), g, sources, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rows
+}
+
+// indexRange is one owned range the table tests run their checks over.
+type indexRange struct {
+	name   string
+	lo, hi int
+	shard  bool // built by BuildShard, saved as a shard file
+}
+
+// indexRanges returns the rows of the table tests for an n-vertex graph:
+// the full index, a one-shard plan owning [0, n), and a three-shard
+// partition whose shards start at 0, sit inside, and end at n.
+func indexRanges(n int) []indexRange {
+	return []indexRange{
+		{"full", 0, n, false},
+		{"one-shard", 0, n, true},
+		{"head", 0, n / 3, true},
+		{"middle", n / 3, 2 * n / 3, true},
+		{"tail", 2 * n / 3, n, true},
+	}
+}
+
+// threeShards reports whether r is a shard of indexRanges' partition.
+func (r indexRange) threeShards(n int) bool { return r.shard && r.hi-r.lo < n }
+
+// mustBuild builds the row's index of g, as Build does for the full row
+// and BuildShard for the others.
+func (r indexRange) mustBuild(t testing.TB, g *graph.Graph, opt Options) *Index {
+	t.Helper()
+	ix, err := build(g, opt, r.lo, r.hi, r.shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// load reads a file of the row's kind.
+func (r indexRange) load(rd io.Reader) (*Index, error) {
+	if r.shard {
+		return LoadShard(rd)
+	}
+	return Load(rd)
+}
+
+// rowsMatch reports whether ix has full's parameters and every row ix
+// owns equals the same vertex's row of full — the partition invariant.
+func rowsMatch(ix, full *Index) bool {
+	if ix.n != full.n || ix.k != full.k || ix.r != full.r || ix.c != full.c || ix.seed != full.seed {
+		return false
+	}
+	for v := ix.lo; v < ix.hi; v++ {
+		if !slices.Equal(ix.store.Row(v-ix.lo), full.store.Row(v)) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestSiblingsExact: from 0->1, 0->2 both walkers step to vertex 0 with
@@ -40,7 +98,7 @@ func TestSiblingsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.Pair(1, 2); math.Abs(got-0.8) > 1e-12 {
+	if got := ix.Pair(nil, 1, 2); math.Abs(got-0.8) > 1e-12 {
 		t.Errorf("s(1,2) = %g, want exactly C = 0.8", got)
 	}
 	row := ssRow(t, ix, 1)
@@ -56,7 +114,7 @@ func TestTwoCycleNeverMeets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.Pair(0, 1); got != 0 {
+	if got := ix.Pair(nil, 0, 1); got != 0 {
 		t.Errorf("s(0,1) = %g, want 0", got)
 	}
 }
@@ -70,7 +128,7 @@ func TestDeadWalkersContributeZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pair := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
-		if got := ix.Pair(pair[0], pair[1]); got != 0 {
+		if got := ix.Pair(nil, pair[0], pair[1]); got != 0 {
 			t.Errorf("s(%d,%d) = %g, want 0", pair[0], pair[1], got)
 		}
 	}
@@ -115,39 +173,65 @@ func TestApproximatesExact(t *testing.T) {
 	}
 }
 
-// TestSymmetry: the estimator is symmetric by construction.
+// TestSymmetry: the estimator is symmetric by construction, and Pair on
+// a shard equals the full index's whether the shard owns both endpoints,
+// one, or neither (foreign rows regenerate from the graph).
 func TestSymmetry(t *testing.T) {
 	g := gen.WebGraph(60, 5, 9)
-	ix, err := Build(g, Options{Walks: 50, Seed: 5})
+	opt := Options{Walks: 50, Seed: 5}
+	full, err := Build(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for a := 0; a < 60; a += 7 {
-		row := ssRow(t, ix, a)
-		for b := 0; b < 60; b += 3 {
-			if got, want := ix.Pair(b, a), row[b]; got != want {
-				t.Fatalf("Pair(%d,%d) = %g, SingleSource row = %g", b, a, got, want)
+	for _, rg := range indexRanges(g.NumVertices()) {
+		t.Run(rg.name, func(t *testing.T) {
+			ix := rg.mustBuild(t, g, opt)
+			for a := 0; a < 60; a += 7 {
+				row := ssRow(t, full, a)
+				for b := 0; b < 60; b += 3 {
+					if got, want := ix.Pair(g, b, a), row[b]; got != want {
+						t.Fatalf("Pair(%d,%d) = %g, SingleSource row = %g", b, a, got, want)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
 // TestBuildDeterministicAcrossWorkers: the hash-driven coupling makes the
-// index bit-identical for every worker count.
+// index bit-identical for every worker count, and every shard's stored
+// rows are exactly the corresponding rows of a full Build — the partition
+// invariant.
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	g := gen.WebGraph(120, 6, 11)
-	serial, err := Build(g, Options{Walks: 40, Seed: 17, Workers: 1})
+	n := g.NumVertices()
+	full, err := Build(g, Options{Walks: 40, Seed: 17, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 7, 16} {
-		par, err := Build(g, Options{Walks: 40, Seed: 17, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+	covered := 0
+	for _, rg := range indexRanges(n) {
+		t.Run(rg.name, func(t *testing.T) {
+			serial := rg.mustBuild(t, g, Options{Walks: 40, Seed: 17, Workers: 1})
+			if serial.Lo() != rg.lo || serial.Hi() != rg.hi || serial.Width() != rg.hi-rg.lo || serial.N() != n {
+				t.Fatalf("built n=%d [%d,%d), want n=%d [%d,%d)", serial.N(), serial.Lo(), serial.Hi(), n, rg.lo, rg.hi)
+			}
+			if !rowsMatch(serial, full) {
+				t.Fatalf("rows [%d,%d) differ from the full index's", rg.lo, rg.hi)
+			}
+			for _, workers := range []int{2, 3, 7, 16} {
+				par := rg.mustBuild(t, g, Options{Walks: 40, Seed: 17, Workers: workers})
+				if !serial.Equal(par) {
+					t.Fatalf("index with %d workers differs from serial build", workers)
+				}
+			}
+		})
+		if rg.threeShards(n) {
+			covered += rg.hi - rg.lo
 		}
-		if !serial.Equal(par) {
-			t.Fatalf("index with %d workers differs from serial build", workers)
-		}
+	}
+	if covered != n {
+		t.Fatalf("the three-shard partition covers %d of %d vertices", covered, n)
 	}
 }
 
@@ -230,5 +314,22 @@ func TestBadOptions(t *testing.T) {
 		if _, err := Build(g, opt); err == nil {
 			t.Errorf("Build(%+v) succeeded, want error", opt)
 		}
+		if _, err := BuildShard(g, opt, 0, 5); err == nil {
+			t.Errorf("BuildShard(%+v) succeeded, want error", opt)
+		}
+	}
+}
+
+// TestBuildShardValidation: empty, inverted and out-of-range shard ranges are
+// rejected, as is a bad damping factor on a valid range.
+func TestBuildShardValidation(t *testing.T) {
+	g := gen.WebGraph(20, 4, 1)
+	for _, r := range [][2]int{{-1, 5}, {5, 4}, {0, 21}, {19, 25}} {
+		if _, err := BuildShard(g, Options{Walks: 5}, r[0], r[1]); err == nil {
+			t.Errorf("BuildShard range [%d,%d): succeeded, want error", r[0], r[1])
+		}
+	}
+	if _, err := BuildShard(g, Options{C: 2}, 0, 10); err == nil {
+		t.Error("invalid damping factor: expected error")
 	}
 }

@@ -249,7 +249,7 @@ func (ix *Index) Pair(a, b int) (float64, error) {
 	if a < 0 || a >= n || b < 0 || b >= n {
 		return 0, fmt.Errorf("query: pair (%d,%d) out of range [0,%d)", a, b, n)
 	}
-	return ix.wi.Pair(a, b), nil
+	return ix.wi.Pair(nil, a, b), nil
 }
 
 // TopKOptions tune a TopK call. The zero value (or a nil pointer) means:

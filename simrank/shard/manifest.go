@@ -382,7 +382,7 @@ func verifyFileCRC(path string, fi FileInfo) error {
 
 // checkShardManifest validates a loaded shard's parameters against its
 // manifest entry before trusting it.
-func checkShardManifest(sx *walkindex.ShardIndex, m *Manifest, fi FileInfo) error {
+func checkShardManifest(sx *walkindex.Index, m *Manifest, fi FileInfo) error {
 	if sx.N() != m.N || sx.Lo() != fi.Lo || sx.Hi() != fi.Hi ||
 		sx.C() != m.C || sx.Horizon() != m.K || sx.Walks() != m.Walks || sx.Seed() != m.Seed {
 		return fmt.Errorf("shard: %s does not match its manifest entry (n=%d [%d,%d) c=%v k=%d r=%d seed=%d)",

@@ -1,9 +1,10 @@
 // Package shard partitions a SimRank walk index into per-vertex-range
 // shards and rebuilds single-node answers from their partials.
 //
-// The partition is horizontal: shard i stores the walk rows of a
-// contiguous vertex range [lo_i, hi_i), bit-identical to the same rows of
-// an unsharded index (oipsr/internal/walkindex's partition invariant).
+// The partition is horizontal: shard i is a walk index
+// (oipsr/internal/walkindex.Index) that owns the contiguous vertex range
+// [lo_i, hi_i) and stores exactly the rows an unsharded index stores for
+// it, bit for bit; an unsharded index is the one that owns [0, n).
 // Because the coupled walks are pure hash functions of (graph, options),
 // every shard — holding the full graph, which is tiny next to the path
 // store — can recompute any foreign vertex's walks on demand, so any shard
@@ -69,7 +70,7 @@ func Plan(n, shards int) ([]Range, error) {
 // the one mutating operation and must be serialized against queries (the
 // shard server holds an RWMutex exactly like the single-node daemon).
 type Shard struct {
-	sx *walkindex.ShardIndex
+	sx *walkindex.Index
 	g  *graph.Graph
 	// gen counts applied updates; the router folds every shard's gen into
 	// its cache keys (see Generation).
@@ -144,13 +145,17 @@ func (s *Shard) Graph() *graph.Graph { return s.g }
 func (s *Shard) Generation() uint64 { return s.gen.Load() }
 
 // AttachGraph re-attaches the source graph to a loaded shard. Foreign
-// sources are recomputed from it, so unlike the single-node index — where
-// the graph is optional until reranking — a serving shard requires it; the
-// vertex count is validated, deeper mismatches are the operator's contract
-// (the manifest's seed/params check catches most).
+// sources' walks are regenerated from it, so unlike the single-node index
+// — where the graph is optional until reranking — a serving shard
+// requires it. A graph that does not regenerate a sample of the stored
+// walks is refused, as query.Index.AttachGraph refuses it: its partial
+// rows would mix two graphs.
 func (s *Shard) AttachGraph(g *graph.Graph) error {
 	if g.NumVertices() != s.sx.N() {
 		return fmt.Errorf("shard: graph has %d vertices, shard was built on %d", g.NumVertices(), s.sx.N())
+	}
+	if !s.sx.MatchesGraph(g) {
+		return fmt.Errorf("shard: the graph does not generate the shard's stored walks")
 	}
 	s.g = g
 	return nil
@@ -169,12 +174,12 @@ func (s *Shard) PartialScores(ctx context.Context, sources []int, workers int) (
 			return nil, fmt.Errorf("shard: vertex %d out of range [0,%d)", q, n)
 		}
 	}
-	return s.sx.PartialMultiSource(ctx, s.g, sources, workers)
+	return s.sx.MultiSource(ctx, s.g, sources, workers)
 }
 
 // JoinCandidates enumerates the co-located candidate pairs of fingerprint
 // range [fpLo, fpHi) within the threshold's prune depth; see
-// walkindex.(*ShardIndex).JoinCandidates for the union/cap contract.
+// walkindex.(*Index).JoinCandidates for the union/cap contract.
 func (s *Shard) JoinCandidates(ctx context.Context, threshold float64, fpLo, fpHi, maxCandidates, workers int) ([]uint64, error) {
 	if s.g == nil {
 		return nil, fmt.Errorf("shard: JoinCandidates needs the source graph (AttachGraph after load)")

@@ -112,6 +112,36 @@ func TestBuildAllRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAttachGraphRefusesOtherGraph: a shard regenerates foreign sources'
+// walks from its graph, so a same-size graph that does not generate its
+// stored walks (here: the web generator at degree 12 for a directory built
+// at degree 11, which the manifest check cannot tell apart) is refused
+// instead of mixing two graphs into its partial rows.
+func TestAttachGraphRefusesOtherGraph(t *testing.T) {
+	g := gen.WebGraph(200, 11, 1)
+	other := gen.WebGraph(200, 12, 1)
+	dir := t.TempDir()
+	m, err := BuildAll(g, query.Options{Walks: 20, Seed: 3}, dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Shards {
+		s, err := OpenShard(dir, m, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AttachGraph(other); err == nil {
+			t.Fatalf("shard %d: attached a graph that does not generate its walks", i)
+		}
+		if s.Graph() != nil {
+			t.Fatalf("shard %d: a refused graph stayed attached", i)
+		}
+		if err := s.AttachGraph(g); err != nil {
+			t.Fatalf("shard %d: refused its own graph: %v", i, err)
+		}
+	}
+}
+
 // TestManifestCorruptionDetection: every tamper mode is caught before a
 // wrong answer can be served.
 func TestManifestCorruptionDetection(t *testing.T) {
